@@ -7,15 +7,16 @@ h(k) lands on the leading coordinates of rx k's space.
 
 Single-slot codes exist for all sixteen topologies; the all-links topology
 is the only one with shape restrictions, and build_f_fallback covers the
-rest with a one-transmitter broadcast that still fills the larger antenna
-count. Multi-slot codes pair the one-cross-link topologies, with optional
+rest by reusing the broadcast or multiple-access code on the all-links
+slot. Multi-slot codes pair the one-cross-link topologies, with optional
 reuse of the all-links slot, and two precoders send every stream through
 all five interesting slots at once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import replace
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .channel import Dimensions, TOPOLOGIES, Topology
 from .schemes import Carrier, CodeScheme, DecodeStep, Placement, SuperPrecoder, Variable
@@ -91,7 +92,6 @@ def _scheme(
                 cancel=cancel,
                 solve_groups=tuple(solve_groups),
                 cancel_groups=tuple(cancel_groups),
-                stage=st.stage,
             )
         )
     cls = SuperPrecoder if super_precoder else CodeScheme
@@ -160,7 +160,7 @@ def _bc(dims: Dimensions, tx: int, topo: str) -> CodeScheme:
         ],
         [
             DecodeStep(rx=1, slots=(0,), solve=("a", "b")),
-            DecodeStep(rx=2, slots=(0,), cancel=("b",), solve=("c",), stage=2),
+            DecodeStep(rx=2, slots=(0,), cancel=("b",), solve=("c",)),
         ],
     )
 
@@ -299,7 +299,6 @@ def _full(dims: Dimensions) -> CodeScheme:
                     slots=(0,),
                     cancel=("v", "vv", "x1", "x2"),
                     solve=("u", "uu"),
-                    stage=2,
                 ),
             ],
         )
@@ -336,7 +335,6 @@ def _full(dims: Dimensions) -> CodeScheme:
                     slots=(0,),
                     cancel=("w11", "w12"),
                     solve=("w21", "w22"),
-                    stage=2,
                 ),
             ],
         )
@@ -349,46 +347,18 @@ def _full(dims: Dimensions) -> CodeScheme:
 def build_f_fallback(dims: Dimensions) -> CodeScheme:
     """Best single-slot load on the all-links topology at awkward shapes.
 
-    One transmitter fills the larger antenna count by itself: when m >= n it
-    splits private streams behind null spaces plus a shared block, and when
-    m < n both transmitters feed the first receiver. Delivers max(m, n)
-    symbols at any shape where the standalone all-links code is unavailable.
+    Reuses a two-link code that stays decodable with every link on: the
+    broadcast code of tx1 (bc1) when m >= n, and otherwise the multiple
+    access code into rx1 (mac1). Delivers min(max(m, n), 2 min(m, n))
+    symbols; raises when n > 2m, where the standalone all-links code applies.
     """
-    m, n = dims.m, dims.n
-    if m >= n:
-        side = min(m - n, n)
-        mid = min(m, 2 * n) - 2 * side
-        return _scheme(
-            "f_fallback",
-            dims,
-            ("f",),
-            [
-                Variable("a", side, 1, 1),
-                Variable("b", mid, 1, 1),
-                Variable("c", side, 1, 2),
-            ],
-            [
-                Placement(0, 1, "a", _null(3, side)),
-                Placement(0, 1, "b", _ident(mid)),
-                Placement(0, 1, "c", _null(1, side)),
-            ],
-            [
-                DecodeStep(rx=1, slots=(0,), solve=("a", "b")),
-                DecodeStep(rx=2, slots=(0,), cancel=("b",), solve=("c",), stage=2),
-            ],
-        )
-    wa = (n + 1) // 2
-    wb = n - wa
-    if wa > m or wb > m:
+    if dims.m >= dims.n:
+        scheme = _bc(dims, 1, "f")
+    elif dims.n > 2 * dims.m:
         raise ValueError("fallback all-links code needs min/max above 1/2")
-    return _scheme(
-        "f_fallback",
-        dims,
-        ("f",),
-        [Variable("a", wa, 1, 1), Variable("b", wb, 2, 1)],
-        [Placement(0, 1, "a", _ident(wa)), Placement(0, 2, "b", _ident(wb))],
-        [DecodeStep(rx=1, slots=(0,), solve=("a", "b"))],
-    )
+    else:
+        scheme = _mac(dims, 1, "f")
+    return replace(scheme, name="f_fallback")
 
 
 def build_single_topology_code(
@@ -479,12 +449,8 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
         steps = [
             DecodeStep(rx=first_solo_rx, slots=(0,), solve=("b", "c")),
             DecodeStep(rx=second_solo_rx, slots=(1,), cancel=("c",), solve=("e",)),
-            DecodeStep(
-                rx=second_solo_rx, slots=(0,), cancel=("c",), solve=("a",), stage=2
-            ),
-            DecodeStep(
-                rx=first_solo_rx, slots=(1,), cancel=("c",), solve=("d",), stage=2
-            ),
+            DecodeStep(rx=second_solo_rx, slots=(0,), cancel=("c",), solve=("a",)),
+            DecodeStep(rx=first_solo_rx, slots=(1,), cancel=("c",), solve=("d",)),
         ]
     else:
         wb, wc = n - m, 2 * m - n
@@ -511,14 +477,12 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
                 slots=(0,),
                 cancel=("b", "c"),
                 solve=("a",),
-                stage=2,
             ),
             DecodeStep(
                 rx=first_solo_rx,
                 slots=(1,),
                 cancel=("e", "c"),
                 solve=("d",),
-                stage=2,
             ),
         ]
     return _scheme(f"pair_{pair}", dims, slots, variables, placements, steps)
@@ -607,7 +571,6 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
                 cancel=("d", "k"),
                 solve=("g",),
                 solve_groups=(("c", "j"),),
-                stage=2,
             ),
             DecodeStep(
                 rx=2,
@@ -615,7 +578,6 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
                 cancel=("c", "j"),
                 solve=("n",),
                 solve_groups=(("d", "k"),),
-                stage=2,
             ),
         ]
         tail_cancels: Dict[str, Tuple[str, ...]] = {"a": (), "b": (), "h": (), "i": ()}
@@ -627,14 +589,12 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
                 cancel=("d", "k"),
                 solve=("g", "n"),
                 solve_groups=(("c", "j"),),
-                stage=2,
             ),
             DecodeStep(
                 rx=2,
                 slots=(4,),
                 cancel=("c", "j", "g", "n"),
                 solve_groups=(("d", "k"),),
-                stage=2,
             ),
         ]
         # tall orientation: the identity helpers l, m, e, f stay visible at
@@ -653,7 +613,6 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
             cancel=tail_cancels["a"],
             cancel_groups=(("c", "j"),),
             solve=("a",),
-            stage=3,
         ),
         DecodeStep(
             rx=2,
@@ -661,7 +620,6 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
             cancel=tail_cancels["b"],
             cancel_groups=(("d", "k"),),
             solve=("b",),
-            stage=3,
         ),
         DecodeStep(
             rx=2,
@@ -669,7 +627,6 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
             cancel=tail_cancels["h"],
             cancel_groups=(("d", "k"),),
             solve=("h",),
-            stage=3,
         ),
         DecodeStep(
             rx=1,
@@ -677,7 +634,6 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
             cancel=tail_cancels["i"],
             cancel_groups=(("c", "j"),),
             solve=("i",),
-            stage=3,
         ),
     ]
     return _scheme("zf_block", dims, slots, variables, placements, steps)
@@ -750,7 +706,6 @@ def build_block_ia_precoder(dims: Dimensions) -> SuperPrecoder:
             slots=(0, 1, 2, 3, 4),
             cancel=("u14", "u24"),
             solve=("u11", "u12", "u21", "u22"),
-            stage=2,
         ),
     ]
     return _scheme(
@@ -812,7 +767,6 @@ def build_refined_ia_precoder(dims: Dimensions) -> SuperPrecoder:
             slots=(0, 1, 2, 3, 4),
             cancel=("u14a", "u24a"),
             solve=("u11", "u12a", "u12p1", "u21", "u22a", "u22p2", "u24p2"),
-            stage=2,
         ),
     ]
     return _scheme(

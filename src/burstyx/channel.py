@@ -54,34 +54,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dimensions:
-    """Antenna counts (and optionally the link-on probability) for a run.
+    """Antenna counts for a run.
 
     m, n are the antennas per transmitter / per receiver; both >= 1.
-    p, when given, is the per-link on probability in [0, 1].
     """
 
     m: int
     n: int
-    p: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
             raise ValueError("m must be a positive integer")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError("n must be a positive integer")
-        if self.p is not None and not (0.0 <= float(self.p) <= 1.0):
-            raise ValueError("p must lie in [0, 1]")
 
     @property
     def r(self) -> float:
         """Antenna ratio min(m, n) / max(m, n), in (0, 1]."""
         return min(self.m, self.n) / max(self.m, self.n)
-
-    @property
-    def q(self) -> float:
-        if self.p is None:
-            raise ValueError("p was not set on these dimensions")
-        return 1.0 - float(self.p)
 
 
 @dataclass(frozen=True)
@@ -230,9 +220,6 @@ class ChannelSet:
 
     def link_matrix(self, rx: int, tx: int) -> np.ndarray:
         return self.h(2 * (rx - 1) + tx)
-
-    def as_list(self) -> List[np.ndarray]:
-        return [self.h11, self.h12, self.h21, self.h22]
 
     def to_json(self) -> str:
         payload = {

@@ -100,8 +100,9 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         if name not in _SERIES:
             raise SystemExit(f"unknown series {name!r}; choose from {sorted(_SERIES)}")
     step = args.step
-    if not 0 < step <= 0.5:
-        raise SystemExit("step must lie in (0, 0.5]")
+    # the sweep is built point by point, so a tiny step would not finish
+    if not 1e-4 <= step <= 0.5:
+        raise SystemExit("step must lie in [1e-4, 0.5]")
     count = int(round(1.0 / step))
     if args.sweep == "r":
         xs = [round(k * step, 12) for k in range(1, count + 1)]
@@ -144,6 +145,10 @@ def _build_construction(label: str, dims: Dimensions):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise SystemExit("--seeds must be at least 1")
+    if args.trials < 1:
+        raise SystemExit("--trials must be at least 1")
     labels = [c.strip() for c in args.constructions.split(",") if c.strip()]
     expanded: List[str] = []
     for label in labels:

@@ -67,9 +67,7 @@ def sic_decode(
     y = eff.matrix @ x
 
     lengths = {name: blk.stop - blk.start for name, blk in eff.col_blocks.items()}
-    known: Dict[str, np.ndarray] = {
-        name: np.zeros(0) for name, ln in lengths.items() if ln == 0
-    }
+    known: Dict[str, np.ndarray] = {}
     group_values: Dict[Tuple[str, ...], np.ndarray] = {}
     groups_checked = set()
 
@@ -82,7 +80,7 @@ def sic_decode(
         for g in step.solve_groups + step.cancel_groups:
             accounted |= set(g)
         for name in eff.var_order:
-            if name in accounted or lengths[name] == 0:
+            if name in accounted:
                 continue
             leak = float(np.linalg.norm(eff.columns(rows, name))) / scale
             metrics.max_null_residual = max(metrics.max_null_residual, leak)
@@ -127,10 +125,7 @@ def sic_decode(
             widths.append(blk.shape[1])
         if not blocks:
             continue
-        a = np.hstack(blocks)
-        if a.shape[1] == 0:
-            continue
-        sol = solve_exact(a, y_step, rel_tol)
+        sol = solve_exact(np.hstack(blocks), y_step, rel_tol)
         off = 0
         for name, w in zip(step.solve, widths[: len(step.solve)]):
             known[name] = sol[off : off + w]
@@ -185,19 +180,20 @@ def verify_decodability(
     Each trial draws fresh standard normal messages, decodes, and compares
     against the truth at relative tolerance rel_tol. The result carries the
     worst reconstruction error and structural metrics over all trials.
+    Raises ValueError when trials is below 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
     result = VerifyResult(ok=True, achieved_dof=scheme.total_symbols, trials=trials)
     try:
         eff = effective_channel(channels, scheme)
-        for _ in range(max(1, trials)):
+        for _ in range(trials):
             x_true = {
                 v.name: rng.standard_normal(v.length) for v in scheme.variables
             }
             decoded, metrics = sic_decode(eff, scheme.steps, x_true, rel_tol)
             for v in scheme.variables:
-                if v.length == 0:
-                    continue
                 err = float(
                     np.linalg.norm(decoded[v.name] - x_true[v.name])
                 ) / max(1.0, float(np.linalg.norm(x_true[v.name])))

@@ -14,7 +14,7 @@ relative gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -39,11 +39,39 @@ __all__ = [
 ]
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probability p must lie in [0, 1]")
+
+
 def _check_rp(r: float, p: float) -> None:
     if not 0.0 < r <= 1.0:
         raise ValueError("antenna ratio r must lie in (0, 1]")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability p must lie in [0, 1]")
+    _check_p(p)
+
+
+# Unchecked expressions shared by the scalar API and max_gap_search's grid;
+# they accept Python floats or numpy arrays alike. Their operation order
+# fixes every printed digit of the curves, table and gap-search outputs.
+
+
+def _ua(r, p):
+    q = 1.0 - p
+    return 2.0 * r * (p * p + 2.0 * p * q * q) + 2.0 * p * p * q
+
+
+def _ub(r, p):
+    q = 1.0 - p
+    return 4.0 * r * p * q + (4.0 / 3.0) * p * p
+
+
+def _lb(r, p):
+    q = 1.0 - p
+    return (
+        r * p * q * (4.0 * q * q + 6.0 * p)
+        + 2.0 * p * p * q
+        + (4.0 / 3.0) * (p**4 - p**3 * q)
+    )
 
 
 def normalized_dof(r: float, p: float) -> float:
@@ -53,37 +81,30 @@ def normalized_dof(r: float, p: float) -> float:
     p > 1/2, where only the bound pair below is available.
     """
     _check_rp(r, p)
-    q = 1.0 - p
     if 3.0 * r > 2.0 and p > 0.5:
         raise ValueError("outside the characterized regime")
     if 2.0 * r <= 1.0:
+        q = 1.0 - p
         return 2.0 * r * p * (1.0 + q)
-    return 2.0 * r * (p * p + 2.0 * p * q * q) + 2.0 * p * p * q
+    return _ua(r, p)
 
 
 def upper_bound_a(r: float, p: float) -> float:
     """Normalized converse from per-receiver rate pairs; tight for r <= 2/3."""
     _check_rp(r, p)
-    q = 1.0 - p
-    return 2.0 * r * (p * p + 2.0 * p * q * q) + 2.0 * p * p * q
+    return _ua(r, p)
 
 
 def upper_bound_b(r: float, p: float) -> float:
     """Normalized converse from weighted rate triples; bites at large r, p."""
     _check_rp(r, p)
-    q = 1.0 - p
-    return 4.0 * r * p * q + (4.0 / 3.0) * p * p
+    return _ub(r, p)
 
 
 def lower_bound(r: float, p: float) -> float:
     """Normalized DoF achieved by the scheduled constructions at r > 2/3."""
     _check_rp(r, p)
-    q = 1.0 - p
-    return (
-        r * p * q * (4.0 * q * q + 6.0 * p)
-        + 2.0 * p * p * q
-        + (4.0 / 3.0) * (p**4 - p**3 * q)
-    )
+    return _lb(r, p)
 
 
 def composite_achievable(m: int, n: int, p: float) -> float:
@@ -93,16 +114,14 @@ def composite_achievable(m: int, n: int, p: float) -> float:
     antenna ratio: single-slot codes suffice at r <= 1/2, paired slots give
     the exact value for 1/2 < r <= 2/3 and remain exact up to p = 1/2 for
     larger ratios, and the five-slot reuse pattern takes over above that.
+    Outside that open regime it is twice the per-receiver rate pair bound.
     """
     _check_shape(m, n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability p must lie in [0, 1]")
+    _check_p(p)
     mn, mx = min(m, n), max(m, n)
-    q = 1.0 - p
-    if 2 * mn <= mx:
-        return 2.0 * mn * p * (1.0 + q)
     if 3 * mn <= 2 * mx or p <= 0.5:
-        return 2.0 * mn * (p * p + 2.0 * p * q * q) + 2.0 * mx * p * p * q
+        return 2.0 * rate_pair_bound(m, n, p)
+    q = 1.0 - p
     return (
         4.0 * mn * p * q**3
         + (6.0 * mn + 2.0 * mx) * p * p * q
@@ -119,6 +138,7 @@ def rate_pair_bound(m: int, n: int, p: float) -> float:
     """Converse on one receiver's rate pair; doubling and normalizing by
     max(m, n) recovers the exact normalized DoF and upper_bound_a."""
     _check_shape(m, n)
+    _check_p(p)
     mn, mx = min(m, n), max(m, n)
     q = 1.0 - p
     if 2 * mn <= mx:
@@ -130,6 +150,7 @@ def three_rate_bound(m: int, n: int, p: float) -> float:
     """Converse on a weighted rate triple; scaling by 4/(3 max(m, n))
     recovers upper_bound_b."""
     _check_shape(m, n)
+    _check_p(p)
     mn, mx = min(m, n), max(m, n)
     q = 1.0 - p
     return p * p * mx + 3.0 * p * q * mn
@@ -170,8 +191,7 @@ def single_slot_symbols(name: str, m: int, n: int) -> int:
 def per_topology_baseline(m: int, n: int, p: float) -> float:
     """Expected per-slot sum DoF when every slot is coded in isolation."""
     _check_shape(m, n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability p must lie in [0, 1]")
+    _check_p(p)
     total = 0.0
     for name, topo in TOPOLOGIES.items():
         total += topology_probability(topo, p) * single_slot_symbols(name, m, n)
@@ -217,15 +237,7 @@ def max_gap_search(step: float = 0.005) -> GapResult:
     r_vals = grid[(grid > 2.0 / 3.0) & (grid <= 1.0)]
     p_vals = grid[(grid > 0.5) & (grid <= 1.0)]
     rr, pp = np.meshgrid(r_vals, p_vals, indexing="ij")
-    qq = 1.0 - pp
-    ua = 2.0 * rr * (pp * pp + 2.0 * pp * qq * qq) + 2.0 * pp * pp * qq
-    ub = 4.0 * rr * pp * qq + (4.0 / 3.0) * pp * pp
-    lb = (
-        rr * pp * qq * (4.0 * qq * qq + 6.0 * pp)
-        + 2.0 * pp * pp * qq
-        + (4.0 / 3.0) * (pp**4 - pp**3 * qq)
-    )
-    gap = 1.0 - lb / np.minimum(ua, ub)
+    gap = 1.0 - _lb(rr, pp) / np.minimum(_ua(rr, pp), _ub(rr, pp))
     idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
     return GapResult(float(rr[idx]), float(pp[idx]), float(gap[idx]))
 
@@ -254,28 +266,13 @@ class DofProfile:
     triple_bound: float
 
     def to_dict(self) -> Dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "p": self.p,
-            "r": self.r,
-            "regime": self.regime,
-            "dof": self.dof,
-            "ub1": self.ub1,
-            "ub2": self.ub2,
-            "lb": self.lb,
-            "baseline": self.baseline,
-            "composite": self.composite,
-            "pair_bound": self.pair_bound,
-            "triple_bound": self.triple_bound,
-        }
+        return asdict(self)
 
 
 def dof_profile(m: int, n: int, p: float) -> DofProfile:
     """Evaluate every closed form at one shape and probability."""
     _check_shape(m, n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability p must lie in [0, 1]")
+    _check_p(p)
     mn, mx = min(m, n), max(m, n)
     r = mn / mx
     if 2 * mn <= mx:

@@ -155,7 +155,7 @@ class DecodeStep:
     solve lists variables recovered here; cancel lists variables whose
     already-known contribution is subtracted first. solve_groups names
     aligned sums recovered as single fresh unknowns; cancel_groups subtracts
-    previously solved group values. stage is a coarse ordering label.
+    previously solved group values.
     """
 
     rx: int
@@ -164,11 +164,6 @@ class DecodeStep:
     cancel: Tuple[str, ...] = ()
     solve_groups: Tuple[Tuple[str, ...], ...] = ()
     cancel_groups: Tuple[Tuple[str, ...], ...] = ()
-    stage: int = 1
-
-
-def _group_key(group: Sequence[str]) -> Tuple[str, ...]:
-    return tuple(group)
 
 
 @dataclass(frozen=True)
@@ -243,7 +238,7 @@ class CodeScheme:
                         f"variable {nm!r} cancelled before being solved"
                     )
             for g in st.solve_groups:
-                key = _group_key(g)
+                key = tuple(g)
                 if len(g) < 2:
                     raise ValueError("groups need at least two members")
                 for nm in g:
@@ -253,12 +248,14 @@ class CodeScheme:
                     raise ValueError(f"group {key} solved twice")
                 solved_groups[key] = idx
             for g in st.cancel_groups:
-                if solved_groups.get(_group_key(g), idx) >= idx:
+                if solved_groups.get(tuple(g), idx) >= idx:
                     raise ValueError(f"group {g} cancelled before being solved")
         for v in self.variables:
-            if v.length and v.name not in placed:
+            if v.length == 0:
+                raise ValueError(f"variable {v.name!r} has zero length")
+            if v.name not in placed:
                 raise ValueError(f"variable {v.name!r} never placed")
-            if v.length and v.name not in solved:
+            if v.name not in solved:
                 raise ValueError(f"variable {v.name!r} never solved")
 
     # -- serialization ---------------------------------------------------
@@ -293,7 +290,6 @@ class CodeScheme:
                     "cancel": list(st.cancel),
                     "solve_groups": [list(g) for g in st.solve_groups],
                     "cancel_groups": [list(g) for g in st.cancel_groups],
-                    "stage": st.stage,
                 }
                 for st in self.steps
             ],
@@ -326,7 +322,6 @@ class CodeScheme:
                     cancel=tuple(s["cancel"]),
                     solve_groups=tuple(tuple(g) for g in s["solve_groups"]),
                     cancel_groups=tuple(tuple(g) for g in s["cancel_groups"]),
-                    stage=s["stage"],
                 )
                 for s in data["steps"]
             ),
@@ -375,15 +370,9 @@ class EffectiveChannel:
     """
 
     matrix: np.ndarray
-    dims: Dimensions
-    slot_topologies: Tuple[str, ...]
     var_order: Tuple[str, ...]
     row_blocks: Dict[Tuple[int, int], slice] = field(repr=False, default_factory=dict)
     col_blocks: Dict[str, slice] = field(repr=False, default_factory=dict)
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.slot_topologies)
 
     def rows_for(self, rx: int, slots: Sequence[int]) -> np.ndarray:
         idx: List[int] = []
@@ -401,9 +390,7 @@ class EffectiveChannel:
     def concat(self, x: Dict[str, np.ndarray]) -> np.ndarray:
         out = np.zeros(self.matrix.shape[1])
         for name in self.var_order:
-            blk = self.col_blocks[name]
-            if blk.stop > blk.start:
-                out[blk] = x[name]
+            out[self.col_blocks[name]] = x[name]
         return out
 
 
@@ -443,8 +430,6 @@ def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChan
 
     return EffectiveChannel(
         matrix=matrix,
-        dims=dims,
-        slot_topologies=scheme.slot_topologies,
         var_order=var_order,
         row_blocks=row_blocks,
         col_blocks=col_blocks,

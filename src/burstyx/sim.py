@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .builders import (
 from .channel import (
     Dimensions,
     TOPOLOGIES,
-    TOPOLOGY_BY_INDEX,
     Topology,
+    count_topologies,
     sample_channels,
     sample_topology_indices,
 )
@@ -91,16 +91,13 @@ def _normalize_hist(
 
 
 def schedule_codes(
-    hist: Mapping[Union[str, Topology], int],
-    dims: Dimensions,
-    p: Optional[float] = None,
+    hist: Mapping[Union[str, Topology], int], dims: Dimensions
 ) -> Allocation:
     """Allocate counted slots to code blocks for the given shape.
 
-    p is accepted for interface stability but unused: with counts in hand
-    the greedy choice is the same for every p (five-slot groups strictly
-    dominate what their slots would earn separately, and pairs dominate
-    singles).
+    The link-on probability plays no part: with counts in hand the greedy
+    choice is the same for every p (five-slot groups strictly dominate what
+    their slots would earn separately, and pairs dominate singles).
     """
     counts = _normalize_hist(hist)
     m, n = dims.m, dims.n
@@ -158,34 +155,10 @@ class SimResult:
     allocation: Allocation
 
     def to_dict(self) -> Dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "p": self.p,
-            "n_slots": self.n_slots,
-            "seed": self.seed,
-            "decode_fraction": self.decode_fraction,
-            "decoded_symbols": self.decoded_symbols,
-            "empirical_dof_per_slot": self.empirical_dof_per_slot,
-            "analytic_reference": self.analytic_reference,
-            "decodes_run": self.decodes_run,
-            "allocation": {
-                "zf_blocks": self.allocation.zf_blocks,
-                "z12_blocks": self.allocation.z12_blocks,
-                "z34_blocks": self.allocation.z34_blocks,
-                "singles": dict(self.allocation.singles),
-                "leftover": dict(self.allocation.leftover),
-                "f_fallback": self.allocation.f_fallback,
-            },
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def _count_names(indices: np.ndarray) -> Dict[str, int]:
-    counts = np.bincount(indices, minlength=16)
-    return {topo.name: int(counts[topo.index]) for topo in TOPOLOGY_BY_INDEX}
 
 
 def run_simulation(
@@ -213,8 +186,7 @@ def run_simulation(
 
     channels = sample_channels(dims, seed)
     indices = sample_topology_indices(p, n, seed + 1)
-    hist = _count_names(indices)
-    alloc = schedule_codes(hist, dims, p)
+    alloc = schedule_codes(count_topologies(indices), dims)
 
     kinds: List[Tuple[object, int]] = []
     if alloc.zf_blocks:

@@ -151,7 +151,6 @@ def test_channelset_json_round_trip():
 
 
 def test_dimensions_ratio_helpers():
-    d = bx.Dimensions(4, 3, p=0.3)
+    d = bx.Dimensions(4, 3)
     assert d.r == pytest.approx(0.75)
-    assert d.q == pytest.approx(0.7)
     assert bx.Dimensions(2, 5).r == pytest.approx(0.4)

@@ -72,8 +72,10 @@ def test_curves_rejects_unknown_series(capsys):
 
 
 def test_curves_rejects_bad_step(capsys):
-    assert main(["curves", "--sweep", "p", "--fixed", "0.75",
-                 "--step", "0.9"]) == 2
+    for step in ("0.9", "0", "1e-9"):
+        assert main(["curves", "--sweep", "p", "--fixed", "0.75",
+                     "--step", step]) == 2
+        assert "step" in capsys.readouterr().err
 
 
 def test_verify_runs_and_reports(capsys):
@@ -102,6 +104,15 @@ def test_verify_json(capsys):
     records = json.loads(capsys.readouterr().out)
     assert all(r["status"] == "ok" for r in records)
     assert any(r["dof"] == 24 for r in records)
+
+
+def test_verify_rejects_nonpositive_counts(capsys):
+    for flag, value in (("--seeds", "-1"), ("--seeds", "0"), ("--trials", "0")):
+        assert main(["verify", "--shapes", "4x3", "--constructions", "z12",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "all ok" not in captured.out
 
 
 def test_verify_rejects_malformed_shape():

@@ -139,7 +139,7 @@ def test_cancellation_after_handover():
         ),
         (
             DecodeStep(rx=2, slots=(0,), solve=("u",)),
-            DecodeStep(rx=1, slots=(0,), cancel=("u",), solve=("v",), stage=2),
+            DecodeStep(rx=1, slots=(0,), cancel=("u",), solve=("v",)),
         ),
     )
     res = _verify(scheme, 2, 2)
@@ -172,7 +172,7 @@ def test_group_alignment_mismatch_detected():
         (
             DecodeStep(rx=1, slots=(0,), solve_groups=(("a", "b"),)),
             DecodeStep(rx=1, slots=(1,), solve=("w",)),
-            DecodeStep(rx=2, slots=(0,), solve=("a", "b"), stage=2),
+            DecodeStep(rx=2, slots=(0,), solve=("a", "b")),
         ),
     )
     res = _verify(scheme, 2, 2)
@@ -182,7 +182,11 @@ def test_group_alignment_mismatch_detected():
 def test_trials_and_dof_reporting():
     dims = bx.Dimensions(3, 2)
     ch = bx.sample_channels(dims, 9)
-    res = bx.verify_decodability(ch, bx.build_z_pair_code(dims, "z34"), trials=5, seed=2)
+    scheme = bx.build_z_pair_code(dims, "z34")
+    res = bx.verify_decodability(ch, scheme, trials=5, seed=2)
     assert res.ok
     assert res.trials == 5
     assert res.achieved_dof == 7
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            bx.verify_decodability(ch, scheme, trials=trials, seed=2)

@@ -171,6 +171,10 @@ def test_input_validation():
         bx.composite_achievable(0, 3, 0.5)
     with pytest.raises(ValueError):
         bx.single_slot_symbols("f", -1, 3)
+    with pytest.raises(ValueError):
+        bx.rate_pair_bound(4, 3, 1.5)
+    with pytest.raises(ValueError):
+        bx.three_rate_bound(4, 3, -1)
 
 
 # -- profiles and the gap search --------------------------------------------
@@ -186,6 +190,10 @@ def test_profile_regimes():
 
 def test_profile_to_dict_round_trip():
     d = bx.dof_profile(4, 3, 0.5).to_dict()
+    assert set(d) == {
+        "m", "n", "p", "r", "regime", "dof", "ub1", "ub2", "lb", "baseline",
+        "composite", "pair_bound", "triple_bound",
+    }
     assert d["composite"] == pytest.approx(4.0)
     assert d["regime"] == "mid"
     assert d["r"] == pytest.approx(0.75)

@@ -171,6 +171,26 @@ def test_validation_rejects_width_mismatch():
         )
 
 
+def test_validation_rejects_zero_length_variable():
+    # builders create zero-length variables and drop them before validation
+    empty = Variable("z", 0, 2, 2)
+    with pytest.raises(ValueError, match="zero length"):
+        CodeScheme(
+            "bad",
+            _dims(2, 2),
+            ("f",),
+            (Variable("u", 2, 1, 1), empty),
+            (
+                Placement(0, 1, "u", Carrier("I-slice", 2)),
+                Placement(0, 2, "z", Carrier("I-slice", 0)),
+            ),
+            (
+                DecodeStep(rx=1, slots=(0,), solve=("u",)),
+                DecodeStep(rx=2, slots=(0,), solve=("z",)),
+            ),
+        )
+
+
 def test_validation_requires_single_solve():
     dims = _dims(2, 2)
     base = dict(

@@ -66,13 +66,6 @@ def test_schedule_f_without_standalone_support_sets_flag():
     assert not alloc2.f_fallback
 
 
-def test_schedule_probability_argument_is_informative_only():
-    h = _hist(z1=6, z2=5, z3=1, f=2, bc1=3)
-    a = bx.schedule_codes(h, bx.Dimensions(4, 3))
-    b = bx.schedule_codes(h, bx.Dimensions(4, 3), p=0.3)
-    assert a == b
-
-
 def test_schedule_conserves_slots_on_random_hists():
     import numpy as np
 
@@ -128,6 +121,13 @@ def test_simulation_tracks_composite_rate(shape, p, expect):
 def test_simulation_result_serializes():
     res = bx.run_simulation(bx.Dimensions(3, 2), 0.4, 10_000, seed=3)
     data = json.loads(res.to_json())
+    assert set(data) == {
+        "m", "n", "p", "n_slots", "seed", "decode_fraction", "decoded_symbols",
+        "empirical_dof_per_slot", "analytic_reference", "decodes_run", "allocation",
+    }
+    assert set(data["allocation"]) == {
+        "zf_blocks", "z12_blocks", "z34_blocks", "singles", "leftover", "f_fallback",
+    }
     assert data["m"] == 3 and data["n"] == 2
     assert data["n_slots"] == 10_000
     assert data["allocation"]["z12_blocks"] == res.allocation.z12_blocks
