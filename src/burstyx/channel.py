@@ -144,6 +144,9 @@ def topology_distribution(p: float) -> Dict[Topology, float]:
     return {t: topology_probability(t, p) for t in TOPOLOGY_BY_INDEX}
 
 
+_SAMPLE_CHUNK = 16_384  # slots per draw in sample_topology_indices
+
+
 def sample_topology_indices(p: float, n: int, seed: int) -> np.ndarray:
     """Draw n slots of link states, returned as uint8 topology indices.
 
@@ -155,9 +158,15 @@ def sample_topology_indices(p: float, n: int, seed: int) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
-    on = rng.random((int(n), 4)) < p
-    weights = np.array([8, 4, 2, 1], dtype=np.uint8)
-    return (on.astype(np.uint8) @ weights).astype(np.uint8)
+    out = np.empty(int(n), dtype=np.uint8)
+    # Chunked draws consume the stream in the same order as one
+    # (n, 4) draw, with memory bounded by the chunk, not by n.
+    for start in range(0, out.size, _SAMPLE_CHUNK):
+        on = (rng.random((min(_SAMPLE_CHUNK, out.size - start), 4)) < p).view(np.uint8)
+        out[start : start + on.shape[0]] = (
+            (on[:, 0] << 3) | (on[:, 1] << 2) | (on[:, 2] << 1) | on[:, 3]
+        )
+    return out
 
 
 def sample_topology_sequence(p: float, n: int, seed: int) -> List[Topology]:

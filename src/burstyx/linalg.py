@@ -116,11 +116,13 @@ def paired_alignment(h_a, h_b) -> Tuple[np.ndarray, np.ndarray]:
 def solve_exact(a, y, rel_tol: float = 1e-6) -> np.ndarray:
     """Solve a @ x = y for a full-column-rank, consistent system.
 
-    Least squares under the hood, then the residual is verified against
-    rel_tol * ||y|| (absolute rel_tol when y is tiny). Raises
+    y is one right-hand side (rows,) or a batch (rows, B) solved at once.
+    One thin SVD of a gives both the rank test (the cutoff of ``rank``)
+    and the solution; then each column's residual is verified against
+    rel_tol * ||y_j|| (absolute rel_tol when y_j is tiny). Raises
     ValueError("underdetermined") on column-rank deficiency and
-    ValueError("inconsistent system") when the residual check fails; either
-    means a broken construction, not a numerical edge case.
+    ValueError("inconsistent system") when any column fails the residual
+    check; either means a broken construction, not a numerical edge case.
     """
     a = _as_matrix(a)
     y = np.asarray(y, dtype=float)
@@ -128,14 +130,15 @@ def solve_exact(a, y, rel_tol: float = 1e-6) -> np.ndarray:
         raise ValueError("a and y have incompatible shapes")
     if a.shape[1] == 0:
         return np.zeros((0,) + y.shape[1:], dtype=float)
-    if rank(a) < a.shape[1]:
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s.size < a.shape[1] or s[-1] <= max(a.shape) * DEFAULT_EPS * s[0]:
         raise ValueError("underdetermined")
-    x, _res, _rk, _sv = np.linalg.lstsq(a, y, rcond=max(a.shape) * DEFAULT_EPS)
-    residual = float(np.linalg.norm(a @ x - y))
-    scale = float(np.linalg.norm(y))
-    if residual > rel_tol * max(scale, 1.0):
+    x = (vt.T / s) @ (u.T @ y)
+    residual = np.linalg.norm(a @ x - y, axis=0)
+    bad = residual > rel_tol * np.maximum(np.linalg.norm(y, axis=0), 1.0)
+    if np.any(bad):
         raise ValueError(
-            f"inconsistent system: residual {residual:.3e} "
+            f"inconsistent system: residual {float(np.max(residual[bad])):.3e} "
             f"exceeds {rel_tol:.1e} * max(||y||, 1)"
         )
     return x

@@ -385,10 +385,12 @@ class EffectiveChannel:
         return self.matrix[self.row_blocks[(rx, slot)], self.col_blocks[var]]
 
     def columns(self, rows: np.ndarray, var: str) -> np.ndarray:
-        return self.matrix[np.ix_(rows, range(*self.col_blocks[var].indices(self.matrix.shape[1])))]
+        return self.matrix[rows, self.col_blocks[var]]
 
     def concat(self, x: Dict[str, np.ndarray]) -> np.ndarray:
-        out = np.zeros(self.matrix.shape[1])
+        """Stack per-variable values, (length,) or (length, B), in column order."""
+        batch = np.shape(x[self.var_order[0]])[1:] if self.var_order else ()
+        out = np.zeros((self.matrix.shape[1],) + batch)
         for name in self.var_order:
             out[self.col_blocks[name]] = x[name]
         return out

@@ -73,6 +73,18 @@ def test_sampling_deterministic_and_dtype():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385, 100_000])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.9, 1.0])
+def test_chunked_sampling_equals_one_shot_draw(n, p):
+    """Chunk edges do not move the stream: same slots as one (n, 4) draw."""
+    rng = np.random.Generator(np.random.Philox(21))
+    on = rng.random((n, 4)) < p
+    one_shot = (on.astype(np.uint8) @ np.array([8, 4, 2, 1], dtype=np.uint8)).astype(np.uint8)
+    got = bx.sample_topology_indices(p, n, seed=21)
+    assert got.dtype == np.uint8 and got.shape == (n,)
+    assert np.array_equal(got, one_shot)
+
+
 def test_sampling_degenerate_probabilities():
     assert np.all(bx.sample_topology_indices(0.0, 1000, seed=1) == 0)
     assert np.all(bx.sample_topology_indices(1.0, 1000, seed=1) == 15)

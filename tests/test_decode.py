@@ -190,3 +190,49 @@ def test_trials_and_dof_reporting():
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials"):
             bx.verify_decodability(ch, scheme, trials=trials, seed=2)
+
+
+def _all_constructions(dims):
+    builds = [
+        lambda: bx.build_f_fallback(dims),
+        lambda: bx.build_z_pair_code(dims, "z12"),
+        lambda: bx.build_z_pair_code(dims, "z34"),
+        lambda: bx.build_zf_code(dims),
+        lambda: bx.build_block_ia_precoder(dims),
+        lambda: bx.build_refined_ia_precoder(dims),
+    ] + [
+        lambda name=name: bx.build_single_topology_code(name, dims)
+        for name in sorted(bx.TOPOLOGIES)
+    ]
+    for build in builds:
+        try:
+            scheme = build()
+        except ValueError:
+            continue  # infeasible at this shape
+        if scheme.total_symbols:
+            yield scheme
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (3, 3), (24, 18)])
+def test_batched_decode_equals_per_column_decodes(shape):
+    dims = bx.Dimensions(*shape)
+    ch = bx.sample_channels(dims, 11)
+    rng = np.random.default_rng(12)
+    schemes = list(_all_constructions(dims))
+    assert len(schemes) >= 10
+    for scheme in schemes:
+        eff = bx.effective_channel(ch, scheme)
+        x = {v.name: rng.standard_normal((v.length, 4)) for v in scheme.variables}
+        batch, metrics = bx.sic_decode(eff, scheme.steps, x)
+        worst_crosscheck = 0.0
+        for j in range(4):
+            column, col_metrics = bx.sic_decode(
+                eff, scheme.steps, {name: val[:, j] for name, val in x.items()}
+            )
+            for name, val in column.items():
+                assert batch[name].shape == x[name].shape
+                assert np.max(np.abs(batch[name][:, j] - val)) < 1e-12, (scheme.name, name)
+            assert col_metrics.max_null_residual == metrics.max_null_residual
+            assert col_metrics.max_align_mismatch == metrics.max_align_mismatch
+            worst_crosscheck = max(worst_crosscheck, col_metrics.max_group_crosscheck)
+        assert abs(metrics.max_group_crosscheck - worst_crosscheck) < 1e-12, scheme.name

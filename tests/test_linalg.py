@@ -112,6 +112,36 @@ def test_solve_exact_inconsistent():
         bx.solve_exact(a, y)
 
 
+def test_solve_exact_batch_equals_column_solves():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((7, 4))
+    y = a @ rng.standard_normal((4, 6))
+    got = bx.solve_exact(a, y)
+    assert got.shape == (4, 6)
+    for j in range(6):
+        assert np.linalg.norm(got[:, j] - bx.solve_exact(a, y[:, j])) < 1e-12
+
+
+def test_solve_exact_batch_with_one_inconsistent_column_raises():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((5, 3))
+    y = a @ rng.standard_normal((3, 4))
+    y[:, 2] += np.linalg.svd(a)[0][:, -1]  # a direction outside a's range
+    with pytest.raises(ValueError, match="inconsistent system"):
+        bx.solve_exact(a, y)
+    bx.solve_exact(a, np.delete(y, 2, axis=1))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_solve_exact_wide_and_zero_matrices_are_underdetermined(batch):
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal((2, 3))
+    with pytest.raises(ValueError, match="underdetermined"):
+        bx.solve_exact(wide, np.zeros((2,) + batch))
+    with pytest.raises(ValueError, match="underdetermined"):
+        bx.solve_exact(np.zeros((4, 2)), np.zeros((4,) + batch))
+
+
 def test_rank_tolerance_scales_with_magnitude():
     h = np.diag([1e8, 1e8, 1e-9])
     assert bx.rank(h) == 2

@@ -141,3 +141,26 @@ def test_simulation_decode_fraction_controls_work():
     assert lo.decodes_run < hi.decodes_run
     # counting is exact either way, only the spot-check effort changes
     assert lo.decoded_symbols == hi.decoded_symbols
+
+
+def test_simulation_checks_every_message_of_a_batch(monkeypatch):
+    """A wrong decode in one column of a kind's batch still raises."""
+    import burstyx.sim
+
+    real = burstyx.sim.sic_decode
+    batch_widths = []
+
+    def wrong_second_message(eff, steps, x_true, rel_tol=1e-6):
+        decoded, metrics = real(eff, steps, x_true, rel_tol)
+        name = next(iter(decoded))
+        batch_widths.append(decoded[name].shape[1])
+        decoded[name] = decoded[name].copy()
+        decoded[name][:, 1] += 1e-3
+        return decoded, metrics
+
+    dims = bx.Dimensions(4, 3)
+    bx.run_simulation(dims, 0.5, 20_000, seed=6, decode_fraction=0.01)
+    monkeypatch.setattr(burstyx.sim, "sic_decode", wrong_second_message)
+    with pytest.raises(RuntimeError, match="failed decode spot check"):
+        bx.run_simulation(dims, 0.5, 20_000, seed=6, decode_fraction=0.01)
+    assert batch_widths[0] > 1
