@@ -16,8 +16,8 @@ from .channel import (
     Topology,
     count_topologies,
     sample_channels,
+    sample_topology_counts,
     sample_topology_indices,
-    sample_topology_sequence,
     topology_distribution,
     topology_probability,
 )
@@ -82,8 +82,8 @@ __all__ = [
     "Topology",
     "count_topologies",
     "sample_channels",
+    "sample_topology_counts",
     "sample_topology_indices",
-    "sample_topology_sequence",
     "topology_distribution",
     "topology_probability",
     "alignment_block",

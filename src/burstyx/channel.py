@@ -46,7 +46,7 @@ __all__ = [
     "topology_probability",
     "topology_distribution",
     "sample_topology_indices",
-    "sample_topology_sequence",
+    "sample_topology_counts",
     "count_topologies",
     "sample_channels",
 ]
@@ -147,16 +147,20 @@ def topology_distribution(p: float) -> Dict[Topology, float]:
 _SAMPLE_CHUNK = 16_384  # slots per draw in sample_topology_indices
 
 
+def _check_window(p: float, n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+
+
 def sample_topology_indices(p: float, n: int, seed: int) -> np.ndarray:
     """Draw n slots of link states, returned as uint8 topology indices.
 
     Uses the counter-based Philox generator, so a (p, n, seed) triple always
     produces the same sequence regardless of platform or call history.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_window(p, n)
     rng = np.random.Generator(np.random.Philox(seed))
     out = np.empty(int(n), dtype=np.uint8)
     # Chunked draws consume the stream in the same order as one
@@ -169,10 +173,21 @@ def sample_topology_indices(p: float, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def sample_topology_sequence(p: float, n: int, seed: int) -> List[Topology]:
-    """Like sample_topology_indices but materialized as Topology objects."""
-    idx = sample_topology_indices(p, n, seed)
-    return [TOPOLOGY_BY_INDEX[i] for i in idx]
+def sample_topology_counts(
+    p: float, n: int, seed: Union[int, np.random.SeedSequence]
+) -> Dict[Topology, int]:
+    """Draw the topology histogram of n slots without drawing the slots.
+
+    The four links are independent Bernoulli(p) in every slot, so the
+    counts of an n-slot window are exactly Multinomial(n, p^k (1-p)^(4-k)):
+    the law of count_topologies(sample_topology_indices(p, n, seed)), drawn
+    with one Philox multinomial call whatever n is. Returns the same keys,
+    in the same order, as count_topologies.
+    """
+    _check_window(p, n)
+    rng = np.random.Generator(np.random.Philox(seed))
+    counts = rng.multinomial(n, [topology_probability(t, p) for t in TOPOLOGY_BY_INDEX])
+    return {t: int(c) for t, c in zip(TOPOLOGY_BY_INDEX, counts)}
 
 
 def count_topologies(

@@ -20,7 +20,8 @@ sit at machine precision on any full-rank draw, and fail hard above
 STRUCT_TOL. The crosscheck compares two independently solved estimates, so
 its error scales with the conditioning of both systems; it fails at the
 decode tolerance rel_tol instead. A real misconstruction (wrong member
-set, wrong sum) shows up as an O(1) gap either way.
+set, wrong sum) shows up as an O(1) gap either way. Every check is written
+as ``not value <= tol``, so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def sic_decode(
                 continue
             leak = float(np.linalg.norm(eff.columns(rows, name))) / scale
             metrics.max_null_residual = max(metrics.max_null_residual, leak)
-            if leak > STRUCT_TOL:
+            if not leak <= STRUCT_TOL:
                 raise DecodeError(
                     f"variable {name!r} leaks into rx{step.rx} slots {step.slots} "
                     f"(relative residual {leak:.3e})"
@@ -107,7 +108,7 @@ def sic_decode(
                 other = eff.columns(rows, member)
                 mism = float(np.linalg.norm(other - base)) / scale
                 metrics.max_align_mismatch = max(metrics.max_align_mismatch, mism)
-                if mism > STRUCT_TOL:
+                if not mism <= STRUCT_TOL:
                     raise DecodeError(
                         f"group {g} is not aligned at rx{step.rx} "
                         f"(relative mismatch {mism:.3e})"
@@ -153,7 +154,7 @@ def sic_decode(
             ))
             metrics.max_group_crosscheck = max(metrics.max_group_crosscheck, diff)
             groups_checked.add(key)
-            if diff > rel_tol:
+            if not diff <= rel_tol:
                 raise DecodeError(
                     f"group {key} value disagrees with its members "
                     f"(relative gap {diff:.3e})"
@@ -187,13 +188,15 @@ def verify_decodability(
     """Decode random messages through the scheme on the given channels.
 
     Each trial draws fresh standard normal messages, decodes, and compares
-    against the truth at relative tolerance rel_tol. The result carries the
+    against the truth at relative tolerance rel_tol; a non-finite error
+    fails. The messages come from child 1 of SeedSequence(seed), as in
+    run_simulation, so they are independent of sample_channels(dims, seed). The result carries the
     worst reconstruction error and structural metrics over all trials.
     Raises ValueError when trials is below 1.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1,))))
     result = VerifyResult(ok=True, achieved_dof=scheme.total_symbols, trials=trials)
     try:
         eff = effective_channel(channels, scheme)
@@ -206,8 +209,8 @@ def verify_decodability(
                 err = float(
                     np.linalg.norm(decoded[v.name] - x_true[v.name])
                 ) / max(1.0, float(np.linalg.norm(x_true[v.name])))
-                result.max_rel_error = max(result.max_rel_error, err)
-                if err > rel_tol:
+                result.max_rel_error = float(np.maximum(result.max_rel_error, err))  # keeps a NaN
+                if not err <= rel_tol:
                     result.ok = False
                     result.error = (
                         f"variable {v.name!r} reconstructed with relative "

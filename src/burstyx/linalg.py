@@ -119,7 +119,8 @@ def solve_exact(a, y, rel_tol: float = 1e-6) -> np.ndarray:
     y is one right-hand side (rows,) or a batch (rows, B) solved at once.
     One thin SVD of a gives both the rank test (the cutoff of ``rank``)
     and the solution; then each column's residual is verified against
-    rel_tol * ||y_j|| (absolute rel_tol when y_j is tiny). Raises
+    rel_tol * ||y_j|| (absolute rel_tol when y_j is tiny); a non-finite
+    y fails it. Raises
     ValueError("underdetermined") on column-rank deficiency and
     ValueError("inconsistent system") when any column fails the residual
     check; either means a broken construction, not a numerical edge case.
@@ -135,7 +136,8 @@ def solve_exact(a, y, rel_tol: float = 1e-6) -> np.ndarray:
         raise ValueError("underdetermined")
     x = (vt.T / s) @ (u.T @ y)
     residual = np.linalg.norm(a @ x - y, axis=0)
-    bad = residual > rel_tol * np.maximum(np.linalg.norm(y, axis=0), 1.0)
+    # Written so that a NaN residual (a non-finite y) fails too.
+    bad = ~(residual <= rel_tol * np.maximum(np.linalg.norm(y, axis=0), 1.0))
     if np.any(bad):
         raise ValueError(
             f"inconsistent system: residual {float(np.max(residual[bad])):.3e} "

@@ -7,10 +7,12 @@ one-off-link slot plus one all-links slot), then pairs leftover one-off
 slots, then codes the rest in isolation. Between 1/2 and 2/3 it skips the
 five-slot groups; at or below 1/2 single-slot codes are already optimal.
 
-run_simulation samples everything from three decoupled Philox streams
-(channels, topologies, messages), schedules the realized counts, decodes a
-configurable fraction of blocks of each kind end to end, and reports the
-empirical per-slot symbol rate against composite_achievable.
+run_simulation draws the channels, the window's topology histogram (one
+multinomial draw; the scheduler reads nothing else) and the spot-check
+messages from three independent Philox streams, schedules the realized
+counts, decodes a configurable fraction of blocks of each kind end to end,
+and reports the empirical per-slot symbol rate against
+composite_achievable.
 """
 
 from __future__ import annotations
@@ -32,15 +34,23 @@ from .channel import (
     Dimensions,
     TOPOLOGIES,
     Topology,
-    count_topologies,
     sample_channels,
+    sample_topology_counts,
     sample_topology_indices,
 )
 from .decode import sic_decode
 from .formulas import composite_achievable
 from .schemes import effective_channel
 
-__all__ = ["Allocation", "schedule_codes", "run_simulation", "SimResult"]
+__all__ = [
+    "Allocation",
+    "schedule_codes",
+    "run_simulation",
+    "SimResult",
+    # Not called here: the benchmark's tracer and its tests resolve the
+    # per-slot sampler through this module.
+    "sample_topology_indices",
+]
 
 
 def _standalone_full_supported(m: int, n: int) -> bool:
@@ -171,24 +181,27 @@ def run_simulation(
 ) -> SimResult:
     """Sample a window of n slots, schedule it, and decode spot checks.
 
-    Channels are drawn once from stream seed, topologies from seed + 1 and
-    messages from seed + 2, so runs are reproducible and the three sources
-    never interact. Blocks of one kind share the same effective channel, so
-    each kind is decoded ceil(count * decode_fraction) times (at least
-    once) with fresh random messages. The messages of a kind are one batch,
-    a (length, n_dec) array per variable decoded by one sic_decode call;
-    every message is still checked on its own, and a failed decode raises.
+    Channels are drawn from sample_channels(dims, seed). The topology
+    histogram (sample_topology_counts) and the messages come from the two
+    children of SeedSequence(seed), so a run is reproducible and none of
+    its streams is another seed's stream. Blocks of one kind share the same
+    effective channel, so each kind is decoded ceil(count * decode_fraction)
+    times (at least once) with fresh random messages. The messages of a
+    kind are one batch, a (length, n_dec) array per variable decoded by one
+    sic_decode call; every variable of every message is still held to
+    rel_tol on its own, and a failed (or non-finite) decode raises.
+    Raises ValueError unless n is an integer in [1, 2**63).
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if not (isinstance(n, (int, np.integer)) and 0 < n < 2**63):
+        raise ValueError("n must be an integer in [1, 2**63)")
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability p must lie in [0, 1]")
     if not 0.0 <= decode_fraction <= 1.0:
         raise ValueError("decode_fraction must lie in [0, 1]")
 
     channels = sample_channels(dims, seed)
-    indices = sample_topology_indices(p, n, seed + 1)
-    alloc = schedule_codes(count_topologies(indices), dims)
+    topo_seq, msg_seq = np.random.SeedSequence(seed).spawn(2)
+    alloc = schedule_codes(sample_topology_counts(p, n, topo_seq), dims)
 
     kinds: List[Tuple[object, int]] = []
     if alloc.zf_blocks:
@@ -205,37 +218,36 @@ def run_simulation(
 
     decoded_symbols = 0
     decodes_run = 0
-    rng = np.random.Generator(np.random.Philox(seed + 2))
+    rng = np.random.Generator(np.random.Philox(msg_seq))
     for scheme, count in kinds:
         decoded_symbols += scheme.total_symbols * count
         if scheme.total_symbols == 0:
             continue
         eff = effective_channel(channels, scheme)
         n_dec = max(1, math.ceil(count * decode_fraction))
-        # Row i holds message i, its variables side by side: the draws a
-        # message-by-message loop would make, in the same order.
-        draws = rng.standard_normal((n_dec, scheme.total_symbols))
-        x_true = {}
-        off = 0
-        for v in scheme.variables:
-            x_true[v.name] = draws[:, off : off + v.length].T
-            off += v.length
+        # Column i holds message i, its variables stacked in eff's column
+        # order: the draws a message-by-message loop would make, in order.
+        x = rng.standard_normal((n_dec, scheme.total_symbols)).T
+        x_true = {name: x[blk] for name, blk in eff.col_blocks.items()}
         decoded, _metrics = sic_decode(eff, scheme.steps, x_true, rel_tol)
-        for v in scheme.variables:
-            err = np.linalg.norm(decoded[v.name] - x_true[v.name], axis=0)
-            scale = np.maximum(1.0, np.linalg.norm(x_true[v.name], axis=0))
-            if np.any(err / scale > rel_tol):
-                raise RuntimeError(
-                    f"scheme {scheme.name} failed decode spot check "
-                    f"on variable {v.name!r}"
-                )
+        # Squared per-variable norms of every message, (variables, n_dec).
+        starts = [blk.start for blk in eff.col_blocks.values()]
+        err_sq = np.add.reduceat((eff.concat(decoded) - x) ** 2, starts)
+        x_sq = np.add.reduceat(x**2, starts)
+        failed = ~(np.sqrt(err_sq / np.maximum(1.0, x_sq)) <= rel_tol)
+        if failed.any():
+            name = eff.var_order[int(np.argmax(failed.any(axis=1)))]
+            raise RuntimeError(
+                f"scheme {scheme.name} failed decode spot check "
+                f"on variable {name!r}"
+            )
         decodes_run += n_dec
 
     return SimResult(
         m=dims.m,
         n=dims.n,
         p=p,
-        n_slots=n,
+        n_slots=int(n),
         seed=seed,
         decode_fraction=decode_fraction,
         decoded_symbols=decoded_symbols,

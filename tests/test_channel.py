@@ -85,22 +85,51 @@ def test_chunked_sampling_equals_one_shot_draw(n, p):
     assert np.array_equal(got, one_shot)
 
 
+def _counts_from_slots(p, n, seed):
+    return bx.count_topologies(bx.sample_topology_indices(p, n, seed))
+
+
+# The per-slot sampler, counted, and the histogram sampler draw the same law.
+SAMPLERS = (_counts_from_slots, bx.sample_topology_counts)
+
+
 def test_sampling_degenerate_probabilities():
-    assert np.all(bx.sample_topology_indices(0.0, 1000, seed=1) == 0)
-    assert np.all(bx.sample_topology_indices(1.0, 1000, seed=1) == 15)
+    for sample in SAMPLERS:
+        assert sample(0.0, 1000, 1) == {t: 1000 * (t.index == 0) for t in bx.TOPOLOGY_BY_INDEX}
+        assert sample(1.0, 1000, 1) == {t: 1000 * (t.index == 15) for t in bx.TOPOLOGY_BY_INDEX}
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
 def test_empirical_frequencies(p):
     """One-million-slot draws track the closed-form distribution to 5e-3."""
     n = 1_000_000
-    idx = bx.sample_topology_indices(p, n, seed=123)
-    counts = np.bincount(idx, minlength=16)
     dist = bx.topology_distribution(p)
-    worst = max(
-        abs(counts[t.index] / n - prob) for t, prob in dist.items()
-    )
-    assert worst < 5e-3
+    for sample in SAMPLERS:
+        counts = sample(p, n, 123)
+        worst = max(abs(counts[t] / n - prob) for t, prob in dist.items())
+        assert worst < 5e-3, sample.__name__
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 100_000, 2**40])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.9, 1.0])
+def test_topology_counts_sum_to_n_in_count_topologies_order(p, n):
+    counts = bx.sample_topology_counts(p, n, seed=5)
+    assert list(counts) == list(bx.count_topologies(np.zeros(0, dtype=np.uint8)))
+    assert all(type(c) is int and c >= 0 for c in counts.values())
+    assert sum(counts.values()) == n
+
+
+def test_topology_counts_deterministic_per_seed():
+    a = bx.sample_topology_counts(0.4, 5000, seed=9)
+    assert a == bx.sample_topology_counts(0.4, 5000, seed=9)
+    assert a != bx.sample_topology_counts(0.4, 5000, seed=10)
+
+
+@pytest.mark.parametrize("p,n", [(-0.1, 10), (1.5, 10), (float("nan"), 10), (0.5, -1)])
+def test_topology_counts_validate_like_indices(p, n):
+    for sample in (bx.sample_topology_indices, bx.sample_topology_counts):
+        with pytest.raises(ValueError):
+            sample(p, n, 0)
 
 
 def test_count_topologies_matches_bincount():
@@ -110,12 +139,6 @@ def test_count_topologies_matches_bincount():
     for t, c in counts.items():
         assert c == raw[t.index]
     assert sum(counts.values()) == 20000
-
-
-def test_sequence_agrees_with_indices():
-    seq = bx.sample_topology_sequence(0.5, 64, seed=2)
-    idx = bx.sample_topology_indices(0.5, 64, seed=2)
-    assert [t.index for t in seq] == list(idx)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (4, 2), (3, 3)])

@@ -136,6 +136,8 @@ def test_simulate_usage_errors(capsys):
                  "--slots", "100", "--seed", "1"]) == 2
     assert main(["simulate", "--m", "3", "--n", "2", "--p", "0.5",
                  "--slots", "0", "--seed", "1"]) == 2
+    assert main(["simulate", "--m", "3", "--n", "2", "--p", "0.5",
+                 "--slots", str(2**63), "--seed", "1"]) == 2
 
 
 def test_missing_required_argument_exits_two():

@@ -82,6 +82,63 @@ def test_sic_decode_returns_all_variables():
     assert metrics.max_null_residual < 1e-10
 
 
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_sic_decode_rejects_a_nan_message(batch):
+    dims = bx.Dimensions(4, 3)
+    scheme = bx.build_zf_code(dims)
+    eff = bx.effective_channel(bx.sample_channels(dims, 1), scheme)
+    x = {v.name: np.ones((v.length,) + batch) for v in scheme.variables}
+    x[scheme.variables[-1].name].flat[0] = np.nan
+    with pytest.raises(ValueError, match="inconsistent system"):
+        bx.sic_decode(eff, scheme.steps, x)
+
+
+def test_verify_fails_a_nan_reconstruction(monkeypatch):
+    import burstyx.decode
+
+    real = burstyx.decode.sic_decode
+
+    def nan_decode(eff, steps, x_true, rel_tol=1e-6):
+        decoded, metrics = real(eff, steps, x_true, rel_tol)
+        return {name: np.full_like(val, np.nan) for name, val in decoded.items()}, metrics
+
+    dims = bx.Dimensions(4, 3)
+    ch = bx.sample_channels(dims, 1)
+    scheme = bx.build_z_pair_code(dims, "z12")
+    assert bx.verify_decodability(ch, scheme, seed=2).ok
+    monkeypatch.setattr(burstyx.decode, "sic_decode", nan_decode)
+    res = bx.verify_decodability(ch, scheme, seed=2)
+    assert not res.ok
+    assert res.achieved_dof == 0
+    assert "nan" in res.error
+    assert np.isnan(res.max_rel_error)
+
+
+def test_verify_messages_are_not_the_channel_stream(monkeypatch):
+    """Messages come from their own stream, not sample_channels(dims, seed)'s."""
+    import burstyx.decode
+
+    real = burstyx.decode.sic_decode
+    seen = []
+
+    def capture(eff, steps, x_true, rel_tol=1e-6):
+        seen.append(eff.concat(x_true))
+        return real(eff, steps, x_true, rel_tol)
+
+    monkeypatch.setattr(burstyx.decode, "sic_decode", capture)
+    dims = bx.Dimensions(4, 3)
+    seed = 7
+    channels = bx.sample_channels(dims, seed)
+    assert bx.verify_decodability(channels, bx.build_zf_code(dims), trials=1, seed=seed).ok
+    first = seen[0]
+    channel_stream = np.random.Generator(np.random.Philox(seed)).standard_normal(first.size)
+    assert not np.any(np.isclose(first, channel_stream))
+    messages = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed).spawn(2)[1])
+    ).standard_normal(first.size)
+    assert np.array_equal(first, messages)
+
+
 def test_rank_deficient_step_fails_cleanly():
     """Two identical carriers in one slot cannot both be solved."""
     dims = bx.Dimensions(2, 2)

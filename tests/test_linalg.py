@@ -132,6 +132,18 @@ def test_solve_exact_batch_with_one_inconsistent_column_raises():
     bx.solve_exact(a, np.delete(y, 2, axis=1))
 
 
+# numpy warns about inf * 0 inside the solve before the check rejects it.
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_exact_rejects_non_finite_right_hand_side(bad):
+    with pytest.raises(ValueError, match="inconsistent system"):
+        bx.solve_exact(np.eye(2), np.array([bad, 1.0]))
+    y = np.ones((2, 3))
+    y[0, 1] = bad  # one bad column of a batch
+    with pytest.raises(ValueError, match="inconsistent system"):
+        bx.solve_exact(np.eye(2), y)
+
+
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_solve_exact_wide_and_zero_matrices_are_underdetermined(batch):
     rng = np.random.default_rng(7)

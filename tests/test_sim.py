@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import burstyx as bx
@@ -164,3 +165,88 @@ def test_simulation_checks_every_message_of_a_batch(monkeypatch):
     with pytest.raises(RuntimeError, match="failed decode spot check"):
         bx.run_simulation(dims, 0.5, 20_000, seed=6, decode_fraction=0.01)
     assert batch_widths[0] > 1
+
+
+def test_simulation_fails_a_nan_decode(monkeypatch):
+    import burstyx.sim
+
+    real = burstyx.sim.sic_decode
+
+    def nan_decode(eff, steps, x_true, rel_tol=1e-6):
+        decoded, metrics = real(eff, steps, x_true, rel_tol)
+        name = eff.var_order[-1]
+        decoded[name] = np.full_like(decoded[name], np.nan)
+        return decoded, metrics
+
+    monkeypatch.setattr(burstyx.sim, "sic_decode", nan_decode)
+    with pytest.raises(RuntimeError, match="failed decode spot check on variable"):
+        bx.run_simulation(bx.Dimensions(4, 3), 0.5, 5_000, seed=6)
+
+
+def test_simulation_names_the_first_failing_variable(monkeypatch):
+    import burstyx.sim
+
+    real = burstyx.sim.sic_decode
+    names = []
+
+    def wrong_last_two(eff, steps, x_true, rel_tol=1e-6):
+        decoded, metrics = real(eff, steps, x_true, rel_tol)
+        names.extend(eff.var_order[-2:])
+        for name in eff.var_order[-2:]:
+            decoded[name] = decoded[name] + 1.0
+        return decoded, metrics
+
+    monkeypatch.setattr(burstyx.sim, "sic_decode", wrong_last_two)
+    with pytest.raises(RuntimeError) as exc:
+        bx.run_simulation(bx.Dimensions(4, 3), 0.9, 5_000, seed=6)
+    assert f"on variable {names[0]!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, 100.0, 2**63, 2**64])
+def test_simulation_rejects_bad_window_lengths(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        bx.run_simulation(bx.Dimensions(3, 2), 0.5, n, seed=1)
+
+
+def test_simulation_accepts_numpy_integer_window():
+    res = bx.run_simulation(bx.Dimensions(3, 2), 0.5, np.int64(1_000), seed=1)
+    assert type(res.n_slots) is int and res.n_slots == 1_000
+    assert res.allocation.slots_total() == 1_000
+
+
+def test_simulation_streams_do_not_overlap_neighbouring_seeds():
+    """Each seed's topologies are its own draw, not seed + 1's channels."""
+    dims = bx.Dimensions(4, 3)
+    topo_seq, _ = np.random.SeedSequence(4).spawn(2)
+    res = bx.run_simulation(dims, 0.5, 20_000, seed=4, decode_fraction=0.0)
+
+    def alloc(stream):
+        return bx.schedule_codes(bx.sample_topology_counts(0.5, 20_000, stream), dims)
+
+    assert res.allocation == alloc(topo_seq)
+    for seed in (3, 4, 5):
+        assert res.allocation != alloc(seed)
+
+
+@pytest.mark.parametrize("factor,raises", [(0.9, False), (1.1, True)])
+def test_spot_check_holds_each_variable_of_each_message_to_rel_tol(monkeypatch, factor, raises):
+    """The one-pass check matches a per-variable, per-message norm loop."""
+    import burstyx.sim
+
+    real = burstyx.sim.sic_decode
+
+    def off_by_factor_of_tol(eff, steps, x_true, rel_tol=1e-6):
+        decoded, metrics = real(eff, steps, x_true, rel_tol)
+        name = eff.var_order[-1]
+        x = x_true[name]
+        decoded[name] = x.copy()
+        decoded[name][0] += factor * rel_tol * np.maximum(1.0, np.linalg.norm(x, axis=0))
+        return decoded, metrics
+
+    monkeypatch.setattr(burstyx.sim, "sic_decode", off_by_factor_of_tol)
+    dims = bx.Dimensions(4, 3)
+    if raises:
+        with pytest.raises(RuntimeError, match="failed decode spot check"):
+            bx.run_simulation(dims, 0.7, 20_000, seed=6, decode_fraction=0.05)
+    else:
+        bx.run_simulation(dims, 0.7, 20_000, seed=6, decode_fraction=0.05)
