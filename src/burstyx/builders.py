@@ -16,6 +16,7 @@ all five interesting slots at once.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .channel import Dimensions, TOPOLOGIES, Topology
@@ -29,6 +30,12 @@ __all__ = [
     "build_block_ia_precoder",
     "build_refined_ia_precoder",
 ]
+
+
+# Each public builder is a pure function of its arguments and CodeScheme is
+# frozen, so a code is built once per shape and then shared. The bound keeps
+# memory flat when a caller sweeps many shapes.
+_SHAPE_CACHE = 64
 
 
 def _ident(width: int, start: int = 0) -> Carrier:
@@ -344,6 +351,7 @@ def _full(dims: Dimensions) -> CodeScheme:
     )
 
 
+@lru_cache(maxsize=_SHAPE_CACHE)
 def build_f_fallback(dims: Dimensions) -> CodeScheme:
     """Best single-slot load on the all-links topology at awkward shapes.
 
@@ -361,6 +369,7 @@ def build_f_fallback(dims: Dimensions) -> CodeScheme:
     return replace(scheme, name="f_fallback")
 
 
+@lru_cache(maxsize=_SHAPE_CACHE)
 def build_single_topology_code(
     topology: Union[str, Topology], dims: Dimensions
 ) -> CodeScheme:
@@ -405,6 +414,7 @@ def build_single_topology_code(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=_SHAPE_CACHE)
 def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
     """Two-slot code reusing one variable across a matched topology pair.
 
@@ -493,6 +503,7 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=_SHAPE_CACHE)
 def build_zf_code(dims: Dimensions) -> CodeScheme:
     """Five-slot code over z1, z2, z3, z4 and the all-links slot.
 
@@ -655,6 +666,7 @@ _IA_PATTERN = {
 }
 
 
+@lru_cache(maxsize=_SHAPE_CACHE)
 def build_block_ia_precoder(dims: Dimensions) -> SuperPrecoder:
     """Fixed per-stream precoders over five slots; 8 min(m, n) symbols.
 
@@ -713,6 +725,7 @@ def build_block_ia_precoder(dims: Dimensions) -> SuperPrecoder:
     )
 
 
+@lru_cache(maxsize=_SHAPE_CACHE)
 def build_refined_ia_precoder(dims: Dimensions) -> SuperPrecoder:
     """Width-split variant of the block precoder; 6n + 2m symbols.
 

@@ -206,9 +206,12 @@ def count_topologies(
 class ChannelSet:
     """The four fixed channel matrices of a run.
 
-    Attributes h11, h12, h21, h22 are N x M arrays (receiver index first).
-    ``h(k)`` exposes the 1..4 alias ordering h11, h12, h21, h22 used by the
-    coding-scheme builders.
+    Attributes h11, h12, h21, h22 are read-only N x M arrays (receiver
+    index first). ``h(k)`` exposes the 1..4 alias ordering h11, h12, h21,
+    h22 used by the coding-scheme builders. ``bases`` memoizes what
+    depends only on the draw (pseudo-inverse, null and paired bases, filled
+    by schemes.Carrier.materialize); the matrices are read-only, so an
+    entry can never go stale.
     """
 
     def __init__(
@@ -234,6 +237,7 @@ class ChannelSet:
         self.dims = dims
         self.seed = seed
         self.h11, self.h12, self.h21, self.h22 = mats
+        self.bases: Dict[tuple, object] = {}
 
     def h(self, k: int) -> np.ndarray:
         """Channel matrix by alias index: 1 -> h11, 2 -> h12, 3 -> h21, 4 -> h22."""
@@ -274,18 +278,18 @@ class ChannelSet:
 def sample_channels(dims: Dimensions, seed: int) -> ChannelSet:
     """Draw the four N x M matrices with i.i.d. standard normal entries.
 
-    Each matrix is re-drawn (a practically impossible event) if it is not of
-    full rank min(M, N), so downstream constructions can rely on genericity.
+    The four matrices are one (4, N, M) draw, the stream four (N, M) draws
+    in turn would consume, and their ranks are checked in one call. A
+    matrix that is not of full rank min(M, N) (a practically impossible
+    event) is re-drawn after all four, in alias order, not in place, so
+    downstream constructions can rely on genericity.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    full = min(dims.m, dims.n)
-    mats = []
-    for _ in range(4):
-        for _attempt in range(100):
-            h = rng.standard_normal((dims.n, dims.m))
-            if np.linalg.matrix_rank(h) == full:
-                mats.append(h)
-                break
-        else:  # pragma: no cover - astronomically unlikely
-            raise RuntimeError("could not draw a full-rank channel matrix")
-    return ChannelSet(dims, *mats, seed=seed)
+    shape = (dims.n, dims.m)
+    mats = rng.standard_normal((4,) + shape)
+    for _attempt in range(100):
+        deficient = np.flatnonzero(np.linalg.matrix_rank(mats) != min(shape))
+        if deficient.size == 0:
+            return ChannelSet(dims, *mats, seed=seed)
+        mats[deficient] = rng.standard_normal((deficient.size,) + shape)
+    raise RuntimeError("could not draw a full-rank channel matrix")  # pragma: no cover

@@ -7,13 +7,16 @@ Subcommands:
   simulate  schedule and spot-decode a sampled window of slots
 
 Exit codes: 0 on success, 1 when a verification or simulation check fails,
-2 on usage errors.
+2 on usage errors. When the reader of stdout goes away early (``burstyx
+verify | head -2``), the command stops writing and exits 1 without a
+traceback, since its output is incomplete.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -293,7 +296,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull so the flush
+        # at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -73,23 +73,32 @@ def sic_decode(
     x = eff.concat(x_true)
     y = eff.matrix @ x
 
-    lengths = {name: blk.stop - blk.start for name, blk in eff.col_blocks.items()}
+    cols = eff.col_blocks
+    starts = [blk.start for blk in cols.values()]
     known: Dict[str, np.ndarray] = {}
     group_values: Dict[Tuple[str, ...], np.ndarray] = {}
     groups_checked = set()
 
     for step in steps:
-        rows = eff.rows_for(step.rx, step.slots)
+        # Slice the step's rows once: a single slot is a view, several a copy.
+        if len(step.slots) == 1:
+            rows = eff.row_blocks[(step.rx, step.slots[0])]
+        else:
+            rows = eff.rows_for(step.rx, step.slots)
+        a = eff.matrix[rows]
         y_step = y[rows]
-        scale = max(1.0, float(np.linalg.norm(eff.matrix[rows])))
+        # One pass of squared column norms gives the step's scale and every
+        # variable's leak.
+        col_sq = np.square(a).sum(axis=0)
+        scale = max(1.0, float(np.sqrt(col_sq.sum())))
+        leaks = np.sqrt(np.add.reduceat(col_sq, starts)) / scale
 
         accounted = set(step.solve) | set(step.cancel)
         for g in step.solve_groups + step.cancel_groups:
             accounted |= set(g)
-        for name in eff.var_order:
+        for name, leak in zip(eff.var_order, leaks.tolist()):
             if name in accounted:
                 continue
-            leak = float(np.linalg.norm(eff.columns(rows, name))) / scale
             metrics.max_null_residual = max(metrics.max_null_residual, leak)
             if not leak <= STRUCT_TOL:
                 raise DecodeError(
@@ -100,13 +109,12 @@ def sic_decode(
         for name in step.cancel:
             if name not in known:
                 raise DecodeError(f"cancel of {name!r} before it was solved")
-            y_step -= eff.columns(rows, name) @ known[name]
+            y_step = y_step - a[:, cols[name]] @ known[name]
 
         def group_block(g: Tuple[str, ...]) -> np.ndarray:
-            base = eff.columns(rows, g[0])
+            base = a[:, cols[g[0]]]
             for member in g[1:]:
-                other = eff.columns(rows, member)
-                mism = float(np.linalg.norm(other - base)) / scale
+                mism = float(np.linalg.norm(a[:, cols[member]] - base)) / scale
                 metrics.max_align_mismatch = max(metrics.max_align_mismatch, mism)
                 if not mism <= STRUCT_TOL:
                     raise DecodeError(
@@ -119,28 +127,20 @@ def sic_decode(
             key = tuple(g)
             if key not in group_values:
                 raise DecodeError(f"cancel of group {key} before it was solved")
-            y_step -= group_block(key) @ group_values[key]
+            y_step = y_step - group_block(key) @ group_values[key]
 
-        blocks = []
-        widths = []
-        for name in step.solve:
-            blocks.append(eff.columns(rows, name))
-            widths.append(lengths[name])
-        for g in step.solve_groups:
-            blk = group_block(tuple(g))
-            blocks.append(blk)
-            widths.append(blk.shape[1])
+        blocks = [a[:, cols[name]] for name in step.solve]
+        blocks += [group_block(tuple(g)) for g in step.solve_groups]
         if not blocks:
             continue
         sol = solve_exact(np.hstack(blocks), y_step, rel_tol)
         off = 0
-        for name, w in zip(step.solve, widths[: len(step.solve)]):
-            known[name] = sol[off : off + w]
-            off += w
-        for g in step.solve_groups:
-            w = lengths[g[0]]
-            group_values[tuple(g)] = sol[off : off + w]
-            off += w
+        for name, blk in zip(step.solve, blocks):
+            known[name] = sol[off : off + blk.shape[1]]
+            off += blk.shape[1]
+        for g, blk in zip(step.solve_groups, blocks[len(step.solve) :]):
+            group_values[tuple(g)] = sol[off : off + blk.shape[1]]
+            off += blk.shape[1]
 
         for key, val in group_values.items():
             if key in groups_checked or any(m not in known for m in key):

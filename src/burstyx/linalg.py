@@ -5,7 +5,10 @@ exact linear solves. These are the building blocks every precoder in this
 package is assembled from. All routines are SVD based and use tolerances
 relative to the largest singular value, so they are scale invariant.
 
-Sizes here are tiny (dimensions well under 100), so clarity beats speed.
+Sizes here are tiny (dimensions well under 100), so the cost is in call
+overhead and repeated factorizations, not in flops: each routine runs one
+SVD, and callers memoize what depends only on a channel draw (see
+schemes.Carrier.materialize).
 """
 
 from __future__ import annotations
@@ -70,16 +73,19 @@ def pseudo_inverse(h) -> np.ndarray:
     """Right pseudo-inverse of a wide full-row-rank matrix.
 
     For an N x M input with M >= N and full row rank, returns the M x N
-    Moore-Penrose pseudo-inverse, so h @ pseudo_inverse(h) = I_N.
+    Moore-Penrose pseudo-inverse, so h @ pseudo_inverse(h) = I_N. One thin
+    SVD gives both the rank test and the inverse, written as
+    np.linalg.pinv writes it, so the result equals
+    np.linalg.pinv(h, rcond=max(h.shape) * 1e-12) bit for bit.
     """
     h = _as_matrix(h)
     rows, cols = h.shape
     if cols < rows:
         raise ValueError("pseudo_inverse expects at least as many columns as rows")
-    s = np.linalg.svd(h, compute_uv=False)
+    u, s, vt = np.linalg.svd(h, full_matrices=False)
     if s.size < rows or s[rows - 1] <= max(h.shape) * DEFAULT_EPS * s[0]:
         raise ValueError("degenerate channel")
-    return np.linalg.pinv(h, rcond=max(h.shape) * DEFAULT_EPS)
+    return vt.T @ ((1 / s)[:, None] * u.T)
 
 
 def alignment_block(h, k: int) -> np.ndarray:
@@ -135,9 +141,9 @@ def solve_exact(a, y, rel_tol: float = 1e-6) -> np.ndarray:
     if s.size < a.shape[1] or s[-1] <= max(a.shape) * DEFAULT_EPS * s[0]:
         raise ValueError("underdetermined")
     x = (vt.T / s) @ (u.T @ y)
-    residual = np.linalg.norm(a @ x - y, axis=0)
+    residual = np.sqrt(np.square(a @ x - y).sum(axis=0))
     # Written so that a NaN residual (a non-finite y) fails too.
-    bad = ~(residual <= rel_tol * np.maximum(np.linalg.norm(y, axis=0), 1.0))
+    bad = ~(residual <= rel_tol * np.maximum(np.sqrt(np.square(y).sum(axis=0)), 1.0))
     if np.any(bad):
         raise ValueError(
             f"inconsistent system: residual {float(np.max(residual[bad])):.3e} "

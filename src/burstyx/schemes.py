@@ -38,9 +38,34 @@ __all__ = [
     "SuperPrecoder",
     "EffectiveChannel",
     "effective_channel",
+    # Not called here (an align carrier slices the memoized pinv basis): the
+    # benchmark's tracer and its tests resolve this binding through this module.
+    "alignment_block",
 ]
 
 _CARRIER_KINDS = ("I-slice", "pinv", "align", "null", "pair")
+
+
+def _basis(channels: ChannelSet, kind: str, ch: int, ch_b: Optional[int] = None):
+    """The full pinv, null or pair basis of one draw, computed once per draw.
+
+    Memoized in channels.bases and read-only; a pair entry is the (a, b)
+    tuple of paired_alignment. Errors are not memoized, so they re-raise.
+    """
+    key = (kind, ch, ch_b)
+    basis = channels.bases.get(key)
+    if basis is None:
+        h = channels.h(ch)
+        if kind == "pinv":
+            basis = pseudo_inverse(h)
+        elif kind == "null":
+            basis = null_space_basis(h)
+        else:
+            basis = paired_alignment(h, channels.h(ch_b))
+        for block in basis if kind == "pair" else (basis,):
+            block.setflags(write=False)
+        channels.bases[key] = basis
+    return basis
 
 
 @dataclass(frozen=True)
@@ -50,7 +75,8 @@ class Carrier:
     kind:
       I-slice  columns [start, start+width) of I_M
       pinv     columns [start, start+width) of pseudo_inverse(H_ch)
-      align    alignment_block(H_ch, width), i.e. leading pinv columns
+      align    leading width columns of pseudo_inverse(H_ch), as
+               alignment_block(H_ch, width) gives them
       null     columns [start, start+width) of null_space_basis(H_ch)
       pair     one side of paired_alignment(H_ch, H_ch_b), leading columns
     """
@@ -82,25 +108,18 @@ class Carrier:
             for i in range(self.width):
                 block[self.start + i, i] = 1.0
             return block
-        h = channels.h(self.ch)
-        if self.kind == "pinv":
-            pinv = pseudo_inverse(h)
-            if self.start + self.width > pinv.shape[1]:
-                raise ValueError("pinv slice exceeds available columns")
-            return pinv[:, self.start : self.start + self.width]
-        if self.kind == "align":
-            return alignment_block(h, self.width)
-        if self.kind == "null":
-            basis = null_space_basis(h)
-            if self.start + self.width > basis.shape[1]:
-                raise ValueError("null slice exceeds null-space dimension")
-            return basis[:, self.start : self.start + self.width]
-        # pair
-        ga, gb = paired_alignment(h, channels.h(self.ch_b))
-        block = ga if self.side == "a" else gb
-        if self.width > block.shape[1]:
-            raise ValueError("pair slice exceeds paired null-space dimension")
-        return block[:, : self.width]
+        if self.kind == "pair":
+            ga, gb = _basis(channels, "pair", self.ch, self.ch_b)
+            block = ga if self.side == "a" else gb
+            if self.width > block.shape[1]:
+                raise ValueError("pair slice exceeds paired null-space dimension")
+            return block[:, : self.width]
+        # An align carrier is the leading columns of the pinv basis.
+        kind = "null" if self.kind == "null" else "pinv"
+        basis = _basis(channels, kind, self.ch)
+        if self.start + self.width > basis.shape[1]:
+            raise ValueError(f"{kind} slice exceeds available columns")
+        return basis[:, self.start : self.start + self.width]
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "width": self.width}
@@ -384,9 +403,6 @@ class EffectiveChannel:
     def block(self, rx: int, slot: int, var: str) -> np.ndarray:
         return self.matrix[self.row_blocks[(rx, slot)], self.col_blocks[var]]
 
-    def columns(self, rows: np.ndarray, var: str) -> np.ndarray:
-        return self.matrix[rows, self.col_blocks[var]]
-
     def concat(self, x: Dict[str, np.ndarray]) -> np.ndarray:
         """Stack per-variable values, (length,) or (length, B), in column order."""
         batch = np.shape(x[self.var_order[0]])[1:] if self.var_order else ()
@@ -408,12 +424,11 @@ def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChan
     for v in scheme.variables:
         col_blocks[v.name] = slice(off, off + v.length)
         off += v.length
-    total = off
-    matrix = np.zeros((2 * s_count * n, total))
+    matrix = np.zeros((2 * s_count * n, off))
     row_blocks: Dict[Tuple[int, int], slice] = {}
     for rx in (1, 2):
         for slot in range(s_count):
-            r0 = (rx - 1) * s_count * n + slot * n
+            r0 = ((rx - 1) * s_count + slot) * n
             row_blocks[(rx, slot)] = slice(r0, r0 + n)
 
     cache: Dict[Carrier, np.ndarray] = {}
@@ -422,13 +437,11 @@ def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChan
             cache[pl.carrier] = pl.carrier.materialize(channels)
         block = cache[pl.carrier]
         topo = scheme.topology(pl.slot)
+        cols = col_blocks[pl.var]
         for rx in (1, 2):
-            if not topo.link(rx, pl.tx):
-                continue
-            h = channels.link_matrix(rx, pl.tx)
-            rows = row_blocks[(rx, pl.slot)]
-            cols = col_blocks[pl.var]
-            matrix[rows, cols] += h @ block
+            if topo.link(rx, pl.tx):
+                r0 = ((rx - 1) * s_count + pl.slot) * n
+                matrix[r0 : r0 + n, cols] += channels.link_matrix(rx, pl.tx) @ block
 
     return EffectiveChannel(
         matrix=matrix,

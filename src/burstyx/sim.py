@@ -184,9 +184,11 @@ def run_simulation(
     Channels are drawn from sample_channels(dims, seed). The topology
     histogram (sample_topology_counts) and the messages come from the two
     children of SeedSequence(seed), so a run is reproducible and none of
-    its streams is another seed's stream. Blocks of one kind share the same
-    effective channel, so each kind is decoded ceil(count * decode_fraction)
-    times (at least once) with fresh random messages. The messages of a
+    its streams is another seed's stream. The kinds' codes come from the
+    builders' per-shape caches, and all kinds share the draw's memoized
+    bases. Blocks of one kind share the same effective channel, so each
+    kind is decoded ceil(count * decode_fraction) times (at least once)
+    with fresh random messages. The messages of a
     kind are one batch, a (length, n_dec) array per variable decoded by one
     sic_decode call; every variable of every message is still held to
     rel_tol on its own, and a failed (or non-finite) decode raises.

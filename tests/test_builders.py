@@ -1,4 +1,6 @@
-"""Construction totals, preconditions, and shape coverage."""
+"""Construction totals, preconditions, shape coverage, and the build cache."""
+
+from functools import partial
 
 import pytest
 
@@ -152,3 +154,46 @@ def test_orientation_duality_of_totals():
         a = bx.build_zf_code(bx.Dimensions(m, n)).total_symbols
         b = bx.build_zf_code(bx.Dimensions(n, m)).total_symbols
         assert a == b
+
+
+_BUILDERS = [
+    partial(bx.build_zf_code),
+    partial(bx.build_z_pair_code, pair="z34"),
+    partial(bx.build_f_fallback),
+    partial(bx.build_single_topology_code, "mac1"),
+    partial(bx.build_block_ia_precoder),
+    partial(bx.build_refined_ia_precoder),
+]
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=lambda b: b.func.__name__)
+def test_equal_shapes_share_one_built_code(build):
+    first = build(bx.Dimensions(4, 3))
+    assert build(bx.Dimensions(4, 3)) is first
+    assert build.func.cache_info().maxsize == 64
+
+
+def test_infeasible_shape_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            bx.build_zf_code(bx.Dimensions(4, 2))
+        with pytest.raises(ValueError):
+            bx.build_single_topology_code("f", bx.Dimensions(4, 3))
+
+
+def test_builder_cache_stays_bounded():
+    for m in range(1, 12):
+        for n in range(1, 12):
+            bx.build_single_topology_code("bc1", bx.Dimensions(m, n))
+    info = bx.build_single_topology_code.cache_info()
+    assert info.currsize <= info.maxsize == 64
+
+
+def test_cached_codes_carry_no_state_between_runs():
+    for build in _BUILDERS:
+        build.func.cache_clear()
+    dims = bx.Dimensions(4, 3)
+    cold = bx.run_simulation(dims, 0.7, 50_000, 11, decode_fraction=0.05).to_dict()
+    warm = bx.run_simulation(dims, 0.7, 50_000, 11, decode_fraction=0.05).to_dict()
+    assert bx.build_zf_code.cache_info().hits >= 1
+    assert warm == cold

@@ -153,6 +153,54 @@ def test_sampled_channels_full_rank(shape):
             assert bx.rank(h) == min(m, n)
 
 
+def _per_matrix_reference(m, n, seed):
+    """sample_channels as one loop: draw each matrix, re-draw it in place."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    mats = []
+    for _ in range(4):
+        h = rng.standard_normal((n, m))
+        while np.linalg.matrix_rank(h) != min(m, n):
+            h = rng.standard_normal((n, m))
+        mats.append(h)
+    return mats
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_stacked_draw_equals_per_matrix_draws(m):
+    for n in range(1, 9):
+        for seed in (0, 1, 777):
+            ch = bx.sample_channels(bx.Dimensions(m, n), seed)
+            for k, ref in enumerate(_per_matrix_reference(m, n, seed), start=1):
+                assert np.array_equal(ch.h(k), ref), (m, n, seed, k)
+
+
+def test_rank_deficient_draw_is_redrawn_after_all_four(monkeypatch):
+    m, n, seed = 4, 3, 5
+    real = np.random.Generator
+
+    class DeficientThird:
+        """The first draw's third matrix gets two equal rows."""
+
+        def __init__(self, bit_generator):
+            self._rng = real(bit_generator)
+            self._first = True
+
+        def standard_normal(self, size):
+            out = self._rng.standard_normal(size)
+            if self._first:
+                out[2, 1] = out[2, 0]
+                self._first = False
+            return out
+
+    monkeypatch.setattr(np.random, "Generator", DeficientThird)
+    ch = bx.sample_channels(bx.Dimensions(m, n), seed)
+    monkeypatch.undo()
+    stream = real(np.random.Philox(seed)).standard_normal((5, n, m))
+    for k, expected in ((1, stream[0]), (2, stream[1]), (3, stream[4]), (4, stream[3])):
+        assert np.array_equal(ch.h(k), expected), k
+        assert bx.rank(ch.h(k)) == min(m, n)
+
+
 def test_channel_alias_and_orientation():
     dims = bx.Dimensions(4, 3)
     ch = bx.sample_channels(dims, 0)

@@ -1,6 +1,10 @@
 """Command line behavior: formatting, exit codes, and JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +154,31 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # line by line, well past a pipe's capacity after the first line
+        ["verify", "--shapes", "4x3,3x4", "--seeds", "40", "--trials", "1"],
+        # one write of about 1.2 MB
+        ["curves", "--sweep", "p", "--fixed", "0.5", "--step", "1e-4"],
+    ],
+    ids=["verify", "curves"],
+)
+def test_closed_pipe_exits_one_without_traceback(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "burstyx.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.split()[0] in (b"ok", b"x,series,value")
+    assert stderr == b""

@@ -293,3 +293,34 @@ def test_batched_decode_equals_per_column_decodes(shape):
             assert col_metrics.max_align_mismatch == metrics.max_align_mismatch
             worst_crosscheck = max(worst_crosscheck, col_metrics.max_group_crosscheck)
         assert abs(metrics.max_group_crosscheck - worst_crosscheck) < 1e-12, scheme.name
+
+
+def _per_variable_null_residual(eff, steps):
+    """max_null_residual as one norm per row block and per variable."""
+    worst = 0.0
+    for step in steps:
+        rows = eff.rows_for(step.rx, step.slots)
+        scale = max(1.0, float(np.linalg.norm(eff.matrix[rows])))
+        accounted = set(step.solve) | set(step.cancel)
+        for g in step.solve_groups + step.cancel_groups:
+            accounted |= set(g)
+        for name in eff.var_order:
+            if name not in accounted:
+                leak = float(np.linalg.norm(eff.matrix[rows, eff.col_blocks[name]])) / scale
+                worst = max(worst, leak)
+    return worst
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (3, 3), (24, 18)])
+def test_null_residual_equals_per_variable_norms(shape):
+    # Summation order differs from the reference; a sum of squares is
+    # accurate to a few ulps, so 1e-12 relative is loose.
+    dims = bx.Dimensions(*shape)
+    ch = bx.sample_channels(dims, 13)
+    rng = np.random.default_rng(14)
+    for scheme in _all_constructions(dims):
+        eff = bx.effective_channel(ch, scheme)
+        x = {v.name: rng.standard_normal(v.length) for v in scheme.variables}
+        _known, metrics = bx.sic_decode(eff, scheme.steps, x)
+        expected = _per_variable_null_residual(eff, scheme.steps)
+        assert abs(metrics.max_null_residual - expected) <= 1e-12 * expected, scheme.name

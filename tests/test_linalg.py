@@ -70,6 +70,22 @@ def test_alignment_block_inverts_leading_columns():
     assert np.allclose(h @ g, np.eye(3)[:, :2], atol=1e-10)
 
 
+def test_pseudo_inverse_equals_numpy_pinv_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for rows in range(1, 13):
+        for cols in range(rows, 13):
+            h = rng.standard_normal((rows, cols))
+            expected = np.linalg.pinv(h, rcond=max(h.shape) * 1e-12)
+            assert np.array_equal(bx.pseudo_inverse(h), expected), (rows, cols)
+
+
+def test_alignment_block_is_the_leading_pinv_columns():
+    rng = np.random.default_rng(29)
+    h = rng.standard_normal((4, 6))
+    for k in range(5):
+        assert np.array_equal(bx.alignment_block(h, k), bx.pseudo_inverse(h)[:, :k])
+
+
 def test_paired_alignment_contract():
     rng = np.random.default_rng(13)
     for rows, cols in [(3, 2), (4, 3), (5, 3)]:

@@ -1,9 +1,13 @@
 """Carriers, scheme validation, serialization, and effective channels."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import burstyx as bx
+import burstyx.schemes
+import burstyx.sim
 from burstyx.schemes import Carrier, CodeScheme, DecodeStep, Placement, Variable
 
 
@@ -40,6 +44,80 @@ def test_pair_carrier_sides_align():
     gb = Carrier("pair", 2, ch=1, ch_b=2, side="b").materialize(ch)
     assert ga.shape == (3, 2)
     assert np.linalg.norm(ch.h(1) @ ga - ch.h(2) @ gb) < 1e-10
+
+
+_BASIS_FUNCTIONS = ("pseudo_inverse", "null_space_basis", "paired_alignment", "alignment_block")
+
+
+def test_each_basis_is_computed_once_per_draw(monkeypatch):
+    """Every kind of a 4x3 run shares its draw's bases."""
+    drawn = {}
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*mats, **kwargs):
+            ch = drawn["channels"]
+            aliases = tuple(next(k for k in range(1, 5) if h is ch.h(k)) for h in mats)
+            calls[(name,) + aliases] += 1
+            return fn(*mats, **kwargs)
+
+        return wrapped
+
+    for name in _BASIS_FUNCTIONS:
+        monkeypatch.setattr(burstyx.schemes, name, counting(name, getattr(burstyx.schemes, name)))
+    sample, materialize = burstyx.sim.sample_channels, burstyx.sim.effective_channel
+    kinds = []
+
+    def sample_once(dims, seed):
+        drawn["channels"] = sample(dims, seed)
+        return drawn["channels"]
+
+    def materialize_kind(channels, scheme):
+        assert channels is drawn["channels"]
+        kinds.append(scheme)
+        return materialize(channels, scheme)
+
+    monkeypatch.setattr(burstyx.sim, "sample_channels", sample_once)
+    monkeypatch.setattr(burstyx.sim, "effective_channel", materialize_kind)
+    bx.run_simulation(_dims(4, 3), 0.5, 100_000, 3)
+
+    function_of = {"pinv": "pseudo_inverse", "align": "pseudo_inverse", "null": "null_space_basis"}
+    expected = set()
+    for scheme in kinds:
+        for pl in scheme.placements:
+            c = pl.carrier
+            if c.kind == "pair":
+                expected.add(("paired_alignment", c.ch, c.ch_b))
+            elif c.kind != "I-slice":
+                expected.add((function_of[c.kind], c.ch))
+    assert len(kinds) >= 10
+    assert {key[0] for key in expected} == {"pseudo_inverse", "null_space_basis"}
+    assert set(calls) == expected
+    assert set(calls.values()) == {1}
+
+
+def test_memoized_bases_are_read_only():
+    cases = [
+        (_dims(4, 3), [Carrier("pinv", 3, ch=2), Carrier("align", 2, ch=2), Carrier("null", 1, ch=1)]),
+        (_dims(3, 4), [Carrier("pair", 2, ch=1, ch_b=2, side="a"), Carrier("pair", 2, ch=1, ch_b=2, side="b")]),
+    ]
+    for dims, carriers in cases:
+        channels = bx.sample_channels(dims, 4)
+        blocks = [c.materialize(channels) for c in carriers]
+        for basis in channels.bases.values():
+            blocks += list(basis) if isinstance(basis, tuple) else [basis]
+        assert len(blocks) > len(carriers)
+        for block in blocks:
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+
+def test_align_carrier_is_the_leading_pinv_columns():
+    ch = bx.sample_channels(_dims(5, 3), 9)
+    for k in range(4):
+        block = Carrier("align", k, ch=3).materialize(ch)
+        assert np.array_equal(block, bx.alignment_block(ch.h(3), k))
+        assert np.array_equal(block, Carrier("pinv", k, ch=3).materialize(ch))
 
 
 def test_carrier_json_round_trip():
