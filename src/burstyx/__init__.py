@@ -32,10 +32,8 @@ from .linalg import (
 from .schemes import (
     Carrier,
     CodeScheme,
-    DecodeStep,
     EffectiveChannel,
     Placement,
-    SuperPrecoder,
     Variable,
     effective_channel,
 )
@@ -94,10 +92,8 @@ __all__ = [
     "solve_exact",
     "Carrier",
     "CodeScheme",
-    "DecodeStep",
     "EffectiveChannel",
     "Placement",
-    "SuperPrecoder",
     "Variable",
     "effective_channel",
     "DecodeError",

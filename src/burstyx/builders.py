@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 from .channel import Dimensions, TOPOLOGIES, Topology
-from .schemes import Carrier, CodeScheme, DecodeStep, Placement, SuperPrecoder, Variable
+from .schemes import Carrier, CodeScheme, Placement, Variable
 
 __all__ = [
     "build_single_topology_code",
@@ -64,51 +64,15 @@ def _scheme(
     slots: Sequence[str],
     variables: Sequence[Variable],
     placements: Sequence[Placement],
-    steps: Sequence[DecodeStep],
-    super_precoder: bool = False,
 ) -> CodeScheme:
-    """Drop zero-length variables and empty steps, then validate."""
+    """Drop zero-length variables, then validate."""
     keep = {v.name for v in variables if v.length > 0}
-    vs = tuple(v for v in variables if v.name in keep)
-    pls = tuple(pl for pl in placements if pl.var in keep)
-    out_steps: List[DecodeStep] = []
-    for st in steps:
-        solve = tuple(nm for nm in st.solve if nm in keep)
-        cancel = tuple(nm for nm in st.cancel if nm in keep)
-        solve_groups: List[Tuple[str, ...]] = []
-        for g in st.solve_groups:
-            g2 = tuple(nm for nm in g if nm in keep)
-            if len(g2) == 1:
-                solve = solve + g2
-            elif len(g2) > 1:
-                solve_groups.append(g2)
-        cancel_groups: List[Tuple[str, ...]] = []
-        for g in st.cancel_groups:
-            g2 = tuple(nm for nm in g if nm in keep)
-            if len(g2) == 1:
-                cancel = cancel + g2
-            elif len(g2) > 1:
-                cancel_groups.append(g2)
-        if not solve and not solve_groups:
-            continue
-        out_steps.append(
-            DecodeStep(
-                rx=st.rx,
-                slots=st.slots,
-                solve=solve,
-                cancel=cancel,
-                solve_groups=tuple(solve_groups),
-                cancel_groups=tuple(cancel_groups),
-            )
-        )
-    cls = SuperPrecoder if super_precoder else CodeScheme
-    return cls(
+    return CodeScheme(
         name=name,
         dims=dims,
         slot_topologies=tuple(slots),
-        variables=vs,
-        placements=pls,
-        steps=tuple(out_steps),
+        variables=tuple(v for v in variables if v.name in keep),
+        placements=tuple(pl for pl in placements if pl.var in keep),
     )
 
 
@@ -125,7 +89,6 @@ def _single_link(dims: Dimensions, tx: int, rx: int, topo: str) -> CodeScheme:
         (topo,),
         [Variable("a", w, tx, rx)],
         [Placement(0, tx, "a", _ident(w))],
-        [DecodeStep(rx=rx, slots=(0,), solve=("a",))],
     )
 
 
@@ -139,7 +102,6 @@ def _mac(dims: Dimensions, rx: int, topo: str) -> CodeScheme:
         (topo,),
         [Variable("a", wa, 1, rx), Variable("b", wb, 2, rx)],
         [Placement(0, 1, "a", _ident(wa)), Placement(0, 2, "b", _ident(wb))],
-        [DecodeStep(rx=rx, slots=(0,), solve=("a", "b"))],
     )
 
 
@@ -148,7 +110,7 @@ def _bc(dims: Dimensions, tx: int, topo: str) -> CodeScheme:
     side = min(max(m - n, 0), n)
     mid = min(m, 2 * n) - 2 * side
     # null(h(to rx2)) keeps a private to rx1; null(h(to rx1)) keeps c private
-    # to rx2; the shared part b is decoded by rx1 and cancelled by rx2.
+    # to rx2; the shared part b is decoded by rx1 and projected out by rx2.
     ch_rx2 = 3 if tx == 1 else 4
     ch_rx1 = 1 if tx == 1 else 2
     return _scheme(
@@ -165,10 +127,6 @@ def _bc(dims: Dimensions, tx: int, topo: str) -> CodeScheme:
             Placement(0, tx, "b", _ident(mid)),
             Placement(0, tx, "c", _null(ch_rx1, side)),
         ],
-        [
-            DecodeStep(rx=1, slots=(0,), solve=("a", "b")),
-            DecodeStep(rx=2, slots=(0,), cancel=("b",), solve=("c",)),
-        ],
     )
 
 
@@ -182,10 +140,6 @@ def _par(dims: Dimensions, direct: bool, topo: str) -> CodeScheme:
         (topo,),
         [Variable("a", w, 1, rx_of_tx1), Variable("b", w, 2, rx_of_tx2)],
         [Placement(0, 1, "a", _ident(w)), Placement(0, 2, "b", _ident(w))],
-        [
-            DecodeStep(rx=rx_of_tx1, slots=(0,), solve=("a",)),
-            DecodeStep(rx=rx_of_tx2, slots=(0,), solve=("b",)),
-        ],
     )
 
 
@@ -225,10 +179,6 @@ def _z_single(dims: Dimensions, topo: str) -> CodeScheme:
                 Placement(0, other_tx, "a", _ident(n)),
                 Placement(0, solo_tx, "u", _null(_Z_NULL[topo], w_extra)),
             ],
-            [
-                DecodeStep(rx=both_rx, slots=(0,), solve=("a",)),
-                DecodeStep(rx=solo_rx, slots=(0,), solve=("u",)),
-            ],
         )
     # m < n: the two-link receiver decodes a joint load min(2m, n).
     w2 = min(m, n - m)
@@ -238,7 +188,6 @@ def _z_single(dims: Dimensions, topo: str) -> CodeScheme:
         (topo,),
         [Variable("g", m, 1, both_rx), Variable("h", w2, 2, both_rx)],
         [Placement(0, 1, "g", _ident(m)), Placement(0, 2, "h", _ident(w2))],
-        [DecodeStep(rx=both_rx, slots=(0,), solve=("g", "h"))],
     )
 
 
@@ -263,10 +212,6 @@ def _full(dims: Dimensions) -> CodeScheme:
                 Placement(0, 2, "s2", _null(4, lo)),
                 Placement(0, 1, "t1", _null(1, lo)),
                 Placement(0, 2, "t2", _null(2, hi)),
-            ],
-            [
-                DecodeStep(rx=1, slots=(0,), solve=("s1", "s2")),
-                DecodeStep(rx=2, slots=(0,), solve=("t1", "t2")),
             ],
         )
     if m < n and 3 * m <= 2 * n:
@@ -294,20 +239,6 @@ def _full(dims: Dimensions) -> CodeScheme:
                 Placement(0, 1, "x1", _ident(w)),
                 Placement(0, 2, "x2", _ident(w)),
             ],
-            [
-                DecodeStep(
-                    rx=1,
-                    slots=(0,),
-                    solve=("v", "vv", "x1", "x2"),
-                    solve_groups=(("u", "uu"),),
-                ),
-                DecodeStep(
-                    rx=2,
-                    slots=(0,),
-                    cancel=("v", "vv", "x1", "x2"),
-                    solve=("u", "uu"),
-                ),
-            ],
         )
     if m == n and m % 3 == 0:
         # equal antennas divisible by three: each transmitter splits between
@@ -329,20 +260,6 @@ def _full(dims: Dimensions) -> CodeScheme:
                 Placement(0, 1, "w21", _pinv(1, w)),
                 Placement(0, 2, "w12", _pinv(4, w)),
                 Placement(0, 2, "w22", _pinv(2, w)),
-            ],
-            [
-                DecodeStep(
-                    rx=1,
-                    slots=(0,),
-                    solve=("w11", "w12"),
-                    solve_groups=(("w21", "w22"),),
-                ),
-                DecodeStep(
-                    rx=2,
-                    slots=(0,),
-                    cancel=("w11", "w12"),
-                    solve=("w21", "w22"),
-                ),
             ],
         )
     raise ValueError(
@@ -383,7 +300,7 @@ def build_single_topology_code(
     if name not in TOPOLOGIES:
         raise ValueError(f"unknown topology {name!r}")
     if name == "empty":
-        return _scheme("single_empty", dims, ("empty",), [], [], [])
+        return _scheme("single_empty", dims, ("empty",), [], [])
     if name == "s11":
         return _single_link(dims, 1, 1, name)
     if name == "s12":
@@ -456,12 +373,6 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
             Placement(1, help_tx, "e", _null(null_second, wb)),
             Placement(1, help_tx, "c", _ident(wc)),
         ]
-        steps = [
-            DecodeStep(rx=first_solo_rx, slots=(0,), solve=("b", "c")),
-            DecodeStep(rx=second_solo_rx, slots=(1,), cancel=("c",), solve=("e",)),
-            DecodeStep(rx=second_solo_rx, slots=(0,), cancel=("c",), solve=("a",)),
-            DecodeStep(rx=first_solo_rx, slots=(1,), cancel=("c",), solve=("d",)),
-        ]
     else:
         wb, wc = n - m, 2 * m - n
         variables = [
@@ -479,23 +390,7 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
             Placement(1, help_tx, "e", _ident(wb)),
             Placement(1, help_tx, "c", _ident(wc, start=wb)),
         ]
-        steps = [
-            DecodeStep(rx=first_solo_rx, slots=(0,), solve=("b", "c")),
-            DecodeStep(rx=second_solo_rx, slots=(1,), cancel=("c",), solve=("e",)),
-            DecodeStep(
-                rx=second_solo_rx,
-                slots=(0,),
-                cancel=("b", "c"),
-                solve=("a",),
-            ),
-            DecodeStep(
-                rx=first_solo_rx,
-                slots=(1,),
-                cancel=("e", "c"),
-                solve=("d",),
-            ),
-        ]
-    return _scheme(f"pair_{pair}", dims, slots, variables, placements, steps)
+    return _scheme(f"pair_{pair}", dims, slots, variables, placements)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +403,8 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
     """Five-slot code over z1, z2, z3, z4 and the all-links slot.
 
     Requires min/max above 2/3; delivers 6 min + 2 max symbols in 5 slots.
-    Variables c, d, j, k each appear in three slots; the all-links slot is
-    decoded through two named aligned groups.
+    Variables c, d, j, k each appear in three slots; in the all-links slot
+    c and j align at rx1, and d and k at rx2.
     """
     m, n = dims.m, dims.n
     if 3 * min(m, n) <= 2 * max(m, n):
@@ -574,84 +469,11 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
         Placement(4, 2, "k", car_k),
         Placement(4, 2, "n", car_n),
     ]
-    if m >= n:
-        full_steps = [
-            DecodeStep(
-                rx=1,
-                slots=(4,),
-                cancel=("d", "k"),
-                solve=("g",),
-                solve_groups=(("c", "j"),),
-            ),
-            DecodeStep(
-                rx=2,
-                slots=(4,),
-                cancel=("c", "j"),
-                solve=("n",),
-                solve_groups=(("d", "k"),),
-            ),
-        ]
-        tail_cancels: Dict[str, Tuple[str, ...]] = {"a": (), "b": (), "h": (), "i": ()}
-    else:
-        full_steps = [
-            DecodeStep(
-                rx=1,
-                slots=(4,),
-                cancel=("d", "k"),
-                solve=("g", "n"),
-                solve_groups=(("c", "j"),),
-            ),
-            DecodeStep(
-                rx=2,
-                slots=(4,),
-                cancel=("c", "j", "g", "n"),
-                solve_groups=(("d", "k"),),
-            ),
-        ]
-        # tall orientation: the identity helpers l, m, e, f stay visible at
-        # the final receivers and must be cancelled explicitly
-        tail_cancels = {"a": ("l",), "b": ("m",), "h": ("e",), "i": ("f",)}
-
-    steps = [
-        DecodeStep(rx=2, slots=(0,), solve=("j", "l")),
-        DecodeStep(rx=1, slots=(1,), solve=("k", "m")),
-        DecodeStep(rx=1, slots=(2,), solve=("d", "e")),
-        DecodeStep(rx=2, slots=(3,), solve=("c", "f")),
-        *full_steps,
-        DecodeStep(
-            rx=1,
-            slots=(0,),
-            cancel=tail_cancels["a"],
-            cancel_groups=(("c", "j"),),
-            solve=("a",),
-        ),
-        DecodeStep(
-            rx=2,
-            slots=(1,),
-            cancel=tail_cancels["b"],
-            cancel_groups=(("d", "k"),),
-            solve=("b",),
-        ),
-        DecodeStep(
-            rx=2,
-            slots=(2,),
-            cancel=tail_cancels["h"],
-            cancel_groups=(("d", "k"),),
-            solve=("h",),
-        ),
-        DecodeStep(
-            rx=1,
-            slots=(3,),
-            cancel=tail_cancels["i"],
-            cancel_groups=(("c", "j"),),
-            solve=("i",),
-        ),
-    ]
-    return _scheme("zf_block", dims, slots, variables, placements, steps)
+    return _scheme("zf_block", dims, slots, variables, placements)
 
 
 # ---------------------------------------------------------------------------
-# five-slot super precoders sending every stream through all slots
+# five-slot precoders sending every stream through all slots
 # ---------------------------------------------------------------------------
 
 _IA_SLOTS = ("z1", "z2", "z3", "z4", "f")
@@ -667,7 +489,7 @@ _IA_PATTERN = {
 
 
 @lru_cache(maxsize=_SHAPE_CACHE)
-def build_block_ia_precoder(dims: Dimensions) -> SuperPrecoder:
+def build_block_ia_precoder(dims: Dimensions) -> CodeScheme:
     """Fixed per-stream precoders over five slots; 8 min(m, n) symbols.
 
     Each stream u_tk rides one carrier in every slot it appears in: inverse
@@ -706,27 +528,11 @@ def build_block_ia_precoder(dims: Dimensions) -> SuperPrecoder:
         for tx, var_list in ((1, tx1_vars), (2, tx2_vars))
         for var in var_list
     ]
-    steps = [
-        DecodeStep(
-            rx=1,
-            slots=(0, 1, 2, 3, 4),
-            solve=("u13", "u14", "u23", "u24"),
-            solve_groups=(("u12", "u22"),),
-        ),
-        DecodeStep(
-            rx=2,
-            slots=(0, 1, 2, 3, 4),
-            cancel=("u14", "u24"),
-            solve=("u11", "u12", "u21", "u22"),
-        ),
-    ]
-    return _scheme(
-        "ia_block", dims, _IA_SLOTS, variables, placements, steps, super_precoder=True
-    )
+    return _scheme("ia_block", dims, _IA_SLOTS, variables, placements)
 
 
 @lru_cache(maxsize=_SHAPE_CACHE)
-def build_refined_ia_precoder(dims: Dimensions) -> SuperPrecoder:
+def build_refined_ia_precoder(dims: Dimensions) -> CodeScheme:
     """Width-split variant of the block precoder; 6n + 2m symbols.
 
     The two cross streams split into an aligned part (width 2n - m, on
@@ -768,20 +574,4 @@ def build_refined_ia_precoder(dims: Dimensions) -> SuperPrecoder:
                         seen.add(name)
                         variables.append(Variable(name, width, tx, rx_of[name]))
                     placements.append(Placement(slot, tx, name, carrier))
-    steps = [
-        DecodeStep(
-            rx=1,
-            slots=(0, 1, 2, 3, 4),
-            solve=("u12p3", "u13", "u14a", "u14p3", "u23", "u24a", "u24p4"),
-            solve_groups=(("u12a", "u22a"),),
-        ),
-        DecodeStep(
-            rx=2,
-            slots=(0, 1, 2, 3, 4),
-            cancel=("u14a", "u24a"),
-            solve=("u11", "u12a", "u12p1", "u21", "u22a", "u22p2", "u24p2"),
-        ),
-    ]
-    return _scheme(
-        "ia_refined", dims, _IA_SLOTS, variables, placements, steps, super_precoder=True
-    )
+    return _scheme("ia_refined", dims, _IA_SLOTS, variables, placements)

@@ -31,7 +31,6 @@ Link ``ji`` means transmitter ``i`` -> receiver ``j``; its matrix is ``h<j><i>``
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -248,31 +247,6 @@ class ChannelSet:
 
     def link_matrix(self, rx: int, tx: int) -> np.ndarray:
         return self.h(2 * (rx - 1) + tx)
-
-    def to_json(self) -> str:
-        payload = {
-            "m": self.dims.m,
-            "n": self.dims.n,
-            "seed": self.seed,
-            "h11": self.h11.tolist(),
-            "h12": self.h12.tolist(),
-            "h21": self.h21.tolist(),
-            "h22": self.h22.tolist(),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelSet":
-        payload = json.loads(text)
-        dims = Dimensions(int(payload["m"]), int(payload["n"]))
-        return cls(
-            dims,
-            np.array(payload["h11"], dtype=float),
-            np.array(payload["h12"], dtype=float),
-            np.array(payload["h21"], dtype=float),
-            np.array(payload["h22"], dtype=float),
-            seed=payload.get("seed"),
-        )
 
 
 def sample_channels(dims: Dimensions, seed: int) -> ChannelSet:

@@ -162,25 +162,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     records = []
     failed = False
     for dims in args.shapes:
+        shape = f"{dims.m}x{dims.n}"
+        # (label, scheme or None when skipped, its records), in label order:
+        # every construction of a seed is checked on one draw and its bases.
+        cases = []
         for label in expanded:
             try:
-                scheme = _build_construction(label, dims)
+                cases.append((label, _build_construction(label, dims), []))
             except ValueError as exc:
-                records.append(
-                    {
-                        "construction": label,
-                        "shape": f"{dims.m}x{dims.n}",
-                        "status": "skip",
-                        "reason": str(exc),
-                    }
-                )
-                continue
-            for seed in range(args.seeds):
-                channels = sample_channels(dims, seed)
+                skip = {"construction": label, "shape": shape, "status": "skip", "reason": str(exc)}
+                cases.append((label, None, [skip]))
+        for seed in range(args.seeds):
+            channels = sample_channels(dims, seed)
+            for label, scheme, label_records in cases:
+                if scheme is None:
+                    continue
                 res = verify_decodability(channels, scheme, trials=args.trials, seed=seed)
                 rec = {
                     "construction": label,
-                    "shape": f"{dims.m}x{dims.n}",
+                    "shape": shape,
                     "seed": seed,
                     "status": "ok" if res.ok else "fail",
                     "dof": res.achieved_dof,
@@ -188,9 +188,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 }
                 if res.error:
                     rec["error"] = res.error
-                records.append(rec)
-                if not res.ok:
-                    failed = True
+                label_records.append(rec)
+                failed = failed or not res.ok
+        for _label, _scheme, label_records in cases:
+            records.extend(label_records)
     if args.json:
         print(json.dumps(records, indent=2, sort_keys=True))
     else:

@@ -1,39 +1,43 @@
-"""Successive interference cancellation over an effective channel.
+"""Per-receiver zero-forcing decode over an effective channel.
 
-The decoder replays a scheme's schedule against a concrete channel draw:
-each step restricts to one receiver's rows over some slots, subtracts
-already-known contributions, solves the remaining exactly determined
-system, and hands the newly known values to later steps.
+Receiver j decodes from its own rows alone, over all slots of a scheme at
+once: the variables with rx == j are its desired columns H_D, every other
+variable is interference H_I. It decodes exactly when rank([H_D H_I]) -
+rank(H_I) = |D_j|, the linear decodability condition of Cadambe & Jafar
+(IEEE T-IT 2008). No receiver uses anything the other one solved.
 
-Three structural quantities are measured while decoding, because a scheme
-is only correct if its algebra holds on generic channels:
+The work that depends only on the effective channel is done once per
+receiver and memoized in eff.receivers, read-only (see _receiver):
 
-- null residual: column blocks of variables a step does not account for
-  must vanish on that receiver (nulled, aligned away, or link off);
-- align mismatch: members of a named group must present identical column
-  blocks wherever the group is treated as one unknown;
-- group crosscheck: once all members of a solved group are individually
-  known, their sum must reproduce the group value.
+- scale = max(1, ||rows||_F). Interference columns of norm at most
+  STRUCT_TOL * scale (links that are off, or zero-forced) are dropped;
+  the left singular vectors of the rest with singular value above
+  STRUCT_TOL * scale span the interference. The cutoff is absolute: the
+  scale-relative ``rank`` would count a zero-forced block (about 1e-16)
+  as full rank. The largest dropped norm or discarded singular value,
+  over scale, is the null residual.
+- A_j = H_D - U_r (U_r^T H_D), the desired columns with the interference
+  projected out, is factored once by solve_exact. Its smallest singular
+  value over scale is the receiver's separation; at or below STRUCT_TOL
+  the receiver cannot decode and DecodeError names it.
 
-The first two are matrix-level: they depend only on the effective channel,
-sit at machine precision on any full-rank draw, and fail hard above
-STRUCT_TOL. The crosscheck compares two independently solved estimates, so
-its error scales with the conditioning of both systems; it fails at the
-decode tolerance rel_tol instead. A real misconstruction (wrong member
-set, wrong sum) shows up as an O(1) gap either way. Every check is written
-as ``not value <= tol``, so a NaN fails it.
+The memo keeps the receiver's projected rows P H, with P = I - U_r U_r^T,
+so each call projects y_j as one product (P H) x and solves with the
+cached factorization, whose residual check holds every column to
+rel_tol. Every check is written as ``not value <= tol``, so a NaN fails
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .channel import ChannelSet
 from .linalg import solve_exact
-from .schemes import CodeScheme, DecodeStep, EffectiveChannel, effective_channel
+from .schemes import CodeScheme, EffectiveChannel, effective_channel
 
 __all__ = ["DecodeError", "DecodeMetrics", "VerifyResult", "sic_decode", "verify_decodability"]
 
@@ -41,129 +45,92 @@ STRUCT_TOL = 1e-9
 
 
 class DecodeError(RuntimeError):
-    """A schedule step is inconsistent with the effective channel."""
+    """A receiver cannot separate its variables from its interference."""
 
 
 @dataclass
 class DecodeMetrics:
     max_null_residual: float = 0.0
-    max_align_mismatch: float = 0.0
-    max_group_crosscheck: float = 0.0
+    min_separation: float = float("inf")
 
 
+class _Receiver(NamedTuple):
+    """What receiver rx's decode needs of one effective channel."""
+
+    desired: np.ndarray  # its columns, in column order
+    projected: np.ndarray  # its rows with the interference span projected out
+    solve: Callable[..., np.ndarray]  # factored A_j
+    null_residual: float
+    separation: float
+
+
+def _receiver(eff: EffectiveChannel, rx: int) -> _Receiver:
+    """Receiver rx's projection and factorization, once per effective channel.
+
+    Memoized in eff.receivers with read-only arrays; eff.matrix is
+    read-only, so an entry cannot go stale. Errors are not memoized.
+    """
+    rec = eff.receivers.get(rx)
+    if rec is not None:
+        return rec
+    height = eff.matrix.shape[0] // 2
+    desired, interference = eff.receiver_columns[rx]
+    h = eff.matrix[(rx - 1) * height : rx * height]
+    col_sq = np.square(h).sum(axis=0)
+    scale = max(1.0, float(np.sqrt(col_sq.sum())))
+    cutoff = STRUCT_TOL * scale
+    norms = np.sqrt(col_sq[interference])
+    residual = float(norms[norms <= cutoff].max(initial=0.0))
+    live = interference[norms > cutoff]
+    basis = np.zeros((height, 0))
+    if live.size:
+        u, s, _vt = np.linalg.svd(h[:, live], full_matrices=False)
+        basis = u[:, s > cutoff]
+        residual = max(residual, float(s[s <= cutoff].max(initial=0.0)))
+    projected = h - basis @ (basis.T @ h)
+    try:
+        solve, sv = solve_exact(projected[:, desired])
+        separation = float(sv[-1]) / scale
+    except ValueError:  # column-rank deficient: no separation at all
+        solve, separation = None, 0.0
+    if not separation > STRUCT_TOL:
+        raise DecodeError(
+            f"rx{rx} cannot separate its {desired.size} desired columns from "
+            f"its interference (smallest singular value {separation:.3e} of scale)"
+        )
+    projected.setflags(write=False)
+    rec = _Receiver(desired, projected, solve, residual / scale, separation)
+    eff.receivers[rx] = rec
+    return rec
+
+
+# Named for the schedule replay it replaced; the benchmark's tracer binds this name.
 def sic_decode(
     eff: EffectiveChannel,
-    steps: Tuple[DecodeStep, ...],
     x_true: Dict[str, np.ndarray],
     rel_tol: float = 1e-6,
 ) -> Tuple[Dict[str, np.ndarray], DecodeMetrics]:
-    """Run the schedule on noise-free observations y = H_eff x_true.
+    """Decode the noise-free observations y = H_eff x_true at each receiver.
 
     Each x_true[name] is one message (length,) or a batch of B messages
     (length, B), one per column; the decoded values have the same shape.
-    The structural checks depend only on eff and steps, so a batch is
-    checked once, and each step solves all B columns with one
-    factorization. The group crosscheck and the solver's residual check
-    still hold every column to rel_tol, and the metrics report the worst
-    column. Returns the decoded variables and the structural metrics.
-    Raises DecodeError on schedule inconsistencies and ValueError when a
-    step's system is rank deficient or has a large residual.
+    Each receiver's projection and factorization depend only on eff, so
+    they are computed once per effective channel, whatever the batch.
+    Returns the decoded variables and the structural metrics. Raises
+    DecodeError when a receiver cannot separate its variables and
+    ValueError when a projected system has a residual above rel_tol.
     """
     metrics = DecodeMetrics()
     x = eff.concat(x_true)
-    y = eff.matrix @ x
-
-    cols = eff.col_blocks
-    starts = [blk.start for blk in cols.values()]
-    known: Dict[str, np.ndarray] = {}
-    group_values: Dict[Tuple[str, ...], np.ndarray] = {}
-    groups_checked = set()
-
-    for step in steps:
-        # Slice the step's rows once: a single slot is a view, several a copy.
-        if len(step.slots) == 1:
-            rows = eff.row_blocks[(step.rx, step.slots[0])]
-        else:
-            rows = eff.rows_for(step.rx, step.slots)
-        a = eff.matrix[rows]
-        y_step = y[rows]
-        # One pass of squared column norms gives the step's scale and every
-        # variable's leak.
-        col_sq = np.square(a).sum(axis=0)
-        scale = max(1.0, float(np.sqrt(col_sq.sum())))
-        leaks = np.sqrt(np.add.reduceat(col_sq, starts)) / scale
-
-        accounted = set(step.solve) | set(step.cancel)
-        for g in step.solve_groups + step.cancel_groups:
-            accounted |= set(g)
-        for name, leak in zip(eff.var_order, leaks.tolist()):
-            if name in accounted:
-                continue
-            metrics.max_null_residual = max(metrics.max_null_residual, leak)
-            if not leak <= STRUCT_TOL:
-                raise DecodeError(
-                    f"variable {name!r} leaks into rx{step.rx} slots {step.slots} "
-                    f"(relative residual {leak:.3e})"
-                )
-
-        for name in step.cancel:
-            if name not in known:
-                raise DecodeError(f"cancel of {name!r} before it was solved")
-            y_step = y_step - a[:, cols[name]] @ known[name]
-
-        def group_block(g: Tuple[str, ...]) -> np.ndarray:
-            base = a[:, cols[g[0]]]
-            for member in g[1:]:
-                mism = float(np.linalg.norm(a[:, cols[member]] - base)) / scale
-                metrics.max_align_mismatch = max(metrics.max_align_mismatch, mism)
-                if not mism <= STRUCT_TOL:
-                    raise DecodeError(
-                        f"group {g} is not aligned at rx{step.rx} "
-                        f"(relative mismatch {mism:.3e})"
-                    )
-            return base
-
-        for g in step.cancel_groups:
-            key = tuple(g)
-            if key not in group_values:
-                raise DecodeError(f"cancel of group {key} before it was solved")
-            y_step = y_step - group_block(key) @ group_values[key]
-
-        blocks = [a[:, cols[name]] for name in step.solve]
-        blocks += [group_block(tuple(g)) for g in step.solve_groups]
-        if not blocks:
+    x_hat = np.empty_like(x)
+    for rx in (1, 2):
+        if not eff.receiver_columns[rx][0].size:
             continue
-        sol = solve_exact(np.hstack(blocks), y_step, rel_tol)
-        off = 0
-        for name, blk in zip(step.solve, blocks):
-            known[name] = sol[off : off + blk.shape[1]]
-            off += blk.shape[1]
-        for g, blk in zip(step.solve_groups, blocks[len(step.solve) :]):
-            group_values[tuple(g)] = sol[off : off + blk.shape[1]]
-            off += blk.shape[1]
-
-        for key, val in group_values.items():
-            if key in groups_checked or any(m not in known for m in key):
-                continue
-            total = np.zeros_like(val)
-            for m in key:
-                total = total + known[m]
-            diff = float(np.max(
-                np.linalg.norm(val - total, axis=0)
-                / np.maximum(1.0, np.linalg.norm(val, axis=0))
-            ))
-            metrics.max_group_crosscheck = max(metrics.max_group_crosscheck, diff)
-            groups_checked.add(key)
-            if not diff <= rel_tol:
-                raise DecodeError(
-                    f"group {key} value disagrees with its members "
-                    f"(relative gap {diff:.3e})"
-                )
-
-    missing = [n for n in eff.var_order if n not in known]
-    if missing:
-        raise DecodeError(f"schedule never solved {missing}")
-    return known, metrics
+        rec = _receiver(eff, rx)
+        x_hat[rec.desired] = rec.solve(rec.projected @ x, rel_tol)
+        metrics.max_null_residual = max(metrics.max_null_residual, rec.null_residual)
+        metrics.min_separation = min(metrics.min_separation, rec.separation)
+    return {name: x_hat[blk] for name, blk in eff.col_blocks.items()}, metrics
 
 
 @dataclass
@@ -173,8 +140,7 @@ class VerifyResult:
     trials: int
     max_rel_error: float = 0.0
     max_null_residual: float = 0.0
-    max_align_mismatch: float = 0.0
-    max_group_crosscheck: float = 0.0
+    min_separation: float = float("inf")
     error: Optional[str] = None
 
 
@@ -190,9 +156,10 @@ def verify_decodability(
     Each trial draws fresh standard normal messages, decodes, and compares
     against the truth at relative tolerance rel_tol; a non-finite error
     fails. The messages come from child 1 of SeedSequence(seed), as in
-    run_simulation, so they are independent of sample_channels(dims, seed). The result carries the
-    worst reconstruction error and structural metrics over all trials.
-    Raises ValueError when trials is below 1.
+    run_simulation, so they are independent of sample_channels(dims,
+    seed). The result carries the worst reconstruction error and the
+    structural metrics over all trials. Raises ValueError when trials is
+    below 1.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -204,7 +171,7 @@ def verify_decodability(
             x_true = {
                 v.name: rng.standard_normal(v.length) for v in scheme.variables
             }
-            decoded, metrics = sic_decode(eff, scheme.steps, x_true, rel_tol)
+            decoded, metrics = sic_decode(eff, x_true, rel_tol)
             for v in scheme.variables:
                 err = float(
                     np.linalg.norm(decoded[v.name] - x_true[v.name])
@@ -219,12 +186,7 @@ def verify_decodability(
             result.max_null_residual = max(
                 result.max_null_residual, metrics.max_null_residual
             )
-            result.max_align_mismatch = max(
-                result.max_align_mismatch, metrics.max_align_mismatch
-            )
-            result.max_group_crosscheck = max(
-                result.max_group_crosscheck, metrics.max_group_crosscheck
-            )
+            result.min_separation = min(result.min_separation, metrics.min_separation)
     except (DecodeError, ValueError) as exc:
         result.ok = False
         result.error = str(exc)

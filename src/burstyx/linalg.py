@@ -13,7 +13,7 @@ schemes.Carrier.materialize).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -119,34 +119,45 @@ def paired_alignment(h_a, h_b) -> Tuple[np.ndarray, np.ndarray]:
     return basis[:m].copy(), basis[m:].copy()
 
 
-def solve_exact(a, y, rel_tol: float = 1e-6) -> np.ndarray:
-    """Solve a @ x = y for a full-column-rank, consistent system.
+def solve_exact(a) -> Tuple[Callable[..., np.ndarray], np.ndarray]:
+    """Factor a full-column-rank a once; return (solve, singular values).
 
-    y is one right-hand side (rows,) or a batch (rows, B) solved at once.
-    One thin SVD of a gives both the rank test (the cutoff of ``rank``)
-    and the solution; then each column's residual is verified against
-    rel_tol * ||y_j|| (absolute rel_tol when y_j is tiny); a non-finite
-    y fails it. Raises
-    ValueError("underdetermined") on column-rank deficiency and
-    ValueError("inconsistent system") when any column fails the residual
-    check; either means a broken construction, not a numerical edge case.
+    One thin SVD of a gives the rank test (the cutoff of ``rank``), the
+    singular values returned with the solver, and the pseudo-inverse that
+    every later solve reuses. Raises ValueError("underdetermined") on
+    column-rank deficiency, which means a broken construction.
+
+    solve(y, rel_tol=1e-6) solves a @ x = y for one right-hand side
+    (rows,) or a batch (rows, B) at once, then verifies each column's
+    residual against rel_tol * ||y_j|| (absolute rel_tol when y_j is tiny);
+    a non-finite y fails it. It raises ValueError("inconsistent system")
+    when any column fails the residual check.
     """
     a = _as_matrix(a)
-    y = np.asarray(y, dtype=float)
-    if a.shape[0] != y.shape[0]:
-        raise ValueError("a and y have incompatible shapes")
     if a.shape[1] == 0:
-        return np.zeros((0,) + y.shape[1:], dtype=float)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size < a.shape[1] or s[-1] <= max(a.shape) * DEFAULT_EPS * s[0]:
-        raise ValueError("underdetermined")
-    x = (vt.T / s) @ (u.T @ y)
-    residual = np.sqrt(np.square(a @ x - y).sum(axis=0))
-    # Written so that a NaN residual (a non-finite y) fails too.
-    bad = ~(residual <= rel_tol * np.maximum(np.sqrt(np.square(y).sum(axis=0)), 1.0))
-    if np.any(bad):
-        raise ValueError(
-            f"inconsistent system: residual {float(np.max(residual[bad])):.3e} "
-            f"exceeds {rel_tol:.1e} * max(||y||, 1)"
-        )
-    return x
+        s = np.zeros(0)
+        pinv = np.zeros((0, a.shape[0]))
+    else:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        if s.size < a.shape[1] or s[-1] <= max(a.shape) * DEFAULT_EPS * s[0]:
+            raise ValueError("underdetermined")
+        pinv = (vt.T / s) @ u.T
+
+    def solve(y, rel_tol: float = 1e-6) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if a.shape[0] != y.shape[0]:
+            raise ValueError("a and y have incompatible shapes")
+        if a.shape[1] == 0:
+            return np.zeros((0,) + y.shape[1:], dtype=float)
+        x = pinv @ y
+        residual = np.sqrt(np.square(a @ x - y).sum(axis=0))
+        # Written so that a NaN residual (a non-finite y) fails too.
+        bad = ~(residual <= rel_tol * np.maximum(np.sqrt(np.square(y).sum(axis=0)), 1.0))
+        if np.any(bad):
+            raise ValueError(
+                f"inconsistent system: residual {float(np.max(residual[bad])):.3e} "
+                f"exceeds {rel_tol:.1e} * max(||y||, 1)"
+            )
+        return x
+
+    return solve, s

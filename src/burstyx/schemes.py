@@ -2,27 +2,25 @@
 
 A scheme says: over a short window of slots with known topologies, each
 transmitter sends fixed linear combinations of message variables, and each
-receiver recovers its variables by successive cancellation. Everything is
-symbolic until materialized against a concrete channel draw:
+receiver recovers its own variables from its own observations over all the
+slots (see decode). Everything is symbolic until materialized against a
+concrete channel draw:
 
 - Carrier: a symbolic precoder block (identity slice, pseudo-inverse slice,
   alignment block, null-space basis, or tall-orientation alignment pair).
 - Variable: a named message vector with a length, an owning transmitter and
   an intended receiver.
 - Placement: variable v rides carrier C from transmitter t in slot s.
-- DecodeStep: one receiver, a set of slots, what it cancels and what it
-  solves. Aligned sums that a receiver can only resolve jointly are written
-  as named groups and separated later.
-- CodeScheme: the whole bundle, JSON round-trippable.
+- CodeScheme: the whole bundle.
 - EffectiveChannel: the stacked receive matrix for one channel draw, with
   (receiver, slot) row blocks and per-variable column blocks.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +31,7 @@ __all__ = [
     "Carrier",
     "Variable",
     "Placement",
-    "DecodeStep",
     "CodeScheme",
-    "SuperPrecoder",
     "EffectiveChannel",
     "effective_channel",
     # Not called here (an align carrier slices the memoized pinv basis): the
@@ -121,30 +117,6 @@ class Carrier:
             raise ValueError(f"{kind} slice exceeds available columns")
         return basis[:, self.start : self.start + self.width]
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "width": self.width}
-        if self.ch is not None:
-            out["ch"] = self.ch
-        if self.ch_b is not None:
-            out["ch_b"] = self.ch_b
-        if self.side is not None:
-            out["side"] = self.side
-        if self.start:
-            out["start"] = self.start
-        return out
-
-    @staticmethod
-    def from_json(data: dict) -> "Carrier":
-        return Carrier(
-            kind=data["kind"],
-            width=data["width"],
-            ch=data.get("ch"),
-            ch_b=data.get("ch_b"),
-            side=data.get("side"),
-            start=data.get("start", 0),
-        )
-
-
 @dataclass(frozen=True)
 class Variable:
     name: str
@@ -168,31 +140,12 @@ class Placement:
 
 
 @dataclass(frozen=True)
-class DecodeStep:
-    """One SIC step: a receiver processes some slots jointly.
-
-    solve lists variables recovered here; cancel lists variables whose
-    already-known contribution is subtracted first. solve_groups names
-    aligned sums recovered as single fresh unknowns; cancel_groups subtracts
-    previously solved group values.
-    """
-
-    rx: int
-    slots: Tuple[int, ...]
-    solve: Tuple[str, ...] = ()
-    cancel: Tuple[str, ...] = ()
-    solve_groups: Tuple[Tuple[str, ...], ...] = ()
-    cancel_groups: Tuple[Tuple[str, ...], ...] = ()
-
-
-@dataclass(frozen=True)
 class CodeScheme:
     name: str
     dims: Dimensions
     slot_topologies: Tuple[str, ...]
     variables: Tuple[Variable, ...]
     placements: Tuple[Placement, ...]
-    steps: Tuple[DecodeStep, ...]
 
     def __post_init__(self):
         self.validate()
@@ -216,6 +169,22 @@ class CodeScheme:
     def topology(self, slot: int) -> Topology:
         return TOPOLOGIES[self.slot_topologies[slot]]
 
+    @cached_property
+    def receiver_columns(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """Per receiver, the effective-channel columns it decodes and the rest.
+
+        Columns follow the variable order, as effective_channel lays them
+        out. Computed once per scheme (the builders share theirs), read-only.
+        """
+        rx_of = np.repeat([v.rx for v in self.variables], [v.length for v in self.variables])
+        out = {}
+        for rx in (1, 2):
+            cols = (np.flatnonzero(rx_of == rx), np.flatnonzero(rx_of != rx))
+            for c in cols:
+                c.setflags(write=False)
+            out[rx] = cols
+        return out
+
     # -- consistency ----------------------------------------------------
 
     def validate(self) -> None:
@@ -237,146 +206,11 @@ class CodeScheme:
             if pl.carrier.width != v.length:
                 raise ValueError(f"carrier width mismatch for {pl.var!r}")
         placed = {pl.var for pl in self.placements}
-        solved: Dict[str, int] = {}
-        solved_groups: Dict[Tuple[str, ...], int] = {}
-        for idx, st in enumerate(self.steps):
-            if st.rx not in (1, 2):
-                raise ValueError("step receiver must be 1 or 2")
-            for s in st.slots:
-                if not 0 <= s < self.n_slots:
-                    raise ValueError("step references a missing slot")
-            for nm in st.solve:
-                if nm not in by_name:
-                    raise ValueError(f"step solves unknown variable {nm!r}")
-                if nm in solved:
-                    raise ValueError(f"variable {nm!r} solved twice")
-                solved[nm] = idx
-            for nm in st.cancel:
-                if solved.get(nm, idx) >= idx:
-                    raise ValueError(
-                        f"variable {nm!r} cancelled before being solved"
-                    )
-            for g in st.solve_groups:
-                key = tuple(g)
-                if len(g) < 2:
-                    raise ValueError("groups need at least two members")
-                for nm in g:
-                    if nm not in by_name:
-                        raise ValueError(f"group references unknown variable {nm!r}")
-                if key in solved_groups:
-                    raise ValueError(f"group {key} solved twice")
-                solved_groups[key] = idx
-            for g in st.cancel_groups:
-                if solved_groups.get(tuple(g), idx) >= idx:
-                    raise ValueError(f"group {g} cancelled before being solved")
         for v in self.variables:
             if v.length == 0:
                 raise ValueError(f"variable {v.name!r} has zero length")
             if v.name not in placed:
                 raise ValueError(f"variable {v.name!r} never placed")
-            if v.name not in solved:
-                raise ValueError(f"variable {v.name!r} never solved")
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(self._payload(), indent=2, sort_keys=True)
-
-    def _payload(self) -> dict:
-        return {
-            "name": self.name,
-            "m": self.dims.m,
-            "n": self.dims.n,
-            "slots": list(self.slot_topologies),
-            "variables": [
-                {"name": v.name, "length": v.length, "tx": v.tx, "rx": v.rx}
-                for v in self.variables
-            ],
-            "placements": [
-                {
-                    "slot": pl.slot,
-                    "tx": pl.tx,
-                    "var": pl.var,
-                    "carrier": pl.carrier.to_json(),
-                }
-                for pl in self.placements
-            ],
-            "steps": [
-                {
-                    "rx": st.rx,
-                    "slots": list(st.slots),
-                    "solve": list(st.solve),
-                    "cancel": list(st.cancel),
-                    "solve_groups": [list(g) for g in st.solve_groups],
-                    "cancel_groups": [list(g) for g in st.cancel_groups],
-                }
-                for st in self.steps
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, text: str) -> "CodeScheme":
-        data = json.loads(text)
-        if data.get("super_precoder"):
-            cls = SuperPrecoder
-        return cls(
-            name=data["name"],
-            dims=Dimensions(data["m"], data["n"]),
-            slot_topologies=tuple(data["slots"]),
-            variables=tuple(
-                Variable(v["name"], v["length"], v["tx"], v["rx"])
-                for v in data["variables"]
-            ),
-            placements=tuple(
-                Placement(
-                    p["slot"], p["tx"], p["var"], Carrier.from_json(p["carrier"])
-                )
-                for p in data["placements"]
-            ),
-            steps=tuple(
-                DecodeStep(
-                    rx=s["rx"],
-                    slots=tuple(s["slots"]),
-                    solve=tuple(s["solve"]),
-                    cancel=tuple(s["cancel"]),
-                    solve_groups=tuple(tuple(g) for g in s["solve_groups"]),
-                    cancel_groups=tuple(tuple(g) for g in s["cancel_groups"]),
-                )
-                for s in data["steps"]
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class SuperPrecoder(CodeScheme):
-    """A CodeScheme presented as one block precoding matrix per transmitter.
-
-    The overall precoder is block diagonal across transmitters: stacking the
-    per-slot transmit vectors gives X_t = A_t u_t where A_t has one block row
-    per slot and one block column per variable of transmitter t. grid()
-    returns that symbolic block matrix with explicit zero tags.
-    """
-
-    def grid(self, tx: int) -> List[List[dict]]:
-        vars_t = [v for v in self.variables if v.tx == tx]
-        rows: List[List[dict]] = []
-        for slot in range(self.n_slots):
-            row: List[dict] = []
-            for v in vars_t:
-                entry: dict = {"kind": "zero", "width": v.length}
-                for pl in self.placements:
-                    if pl.slot == slot and pl.var == v.name:
-                        entry = pl.carrier.to_json()
-                        break
-                row.append(entry)
-            rows.append(row)
-        return rows
-
-    def _payload(self) -> dict:
-        out = super()._payload()
-        out["super_precoder"] = True
-        out["grid"] = {"tx1": self.grid(1), "tx2": self.grid(2)}
-        return out
 
 
 @dataclass
@@ -386,19 +220,17 @@ class EffectiveChannel:
     matrix has one block row per (receiver, slot) pair, receiver-major, each
     of height N, and one block column per variable. Rows belonging to a slot
     where the corresponding cross link is off are zero by construction.
+    matrix is read-only, so ``receivers``, where decode memoizes each
+    receiver's projection and factorization, can never go stale.
+    receiver_columns is the scheme's (see CodeScheme.receiver_columns).
     """
 
     matrix: np.ndarray
     var_order: Tuple[str, ...]
     row_blocks: Dict[Tuple[int, int], slice] = field(repr=False, default_factory=dict)
     col_blocks: Dict[str, slice] = field(repr=False, default_factory=dict)
-
-    def rows_for(self, rx: int, slots: Sequence[int]) -> np.ndarray:
-        idx: List[int] = []
-        for s in slots:
-            blk = self.row_blocks[(rx, s)]
-            idx.extend(range(blk.start, blk.stop))
-        return np.asarray(idx, dtype=int)
+    receiver_columns: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(repr=False, default_factory=dict)
+    receivers: Dict[int, object] = field(repr=False, default_factory=dict)
 
     def block(self, rx: int, slot: int, var: str) -> np.ndarray:
         return self.matrix[self.row_blocks[(rx, slot)], self.col_blocks[var]]
@@ -442,10 +274,12 @@ def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChan
             if topo.link(rx, pl.tx):
                 r0 = ((rx - 1) * s_count + pl.slot) * n
                 matrix[r0 : r0 + n, cols] += channels.link_matrix(rx, pl.tx) @ block
+    matrix.setflags(write=False)
 
     return EffectiveChannel(
         matrix=matrix,
         var_order=var_order,
         row_blocks=row_blocks,
         col_blocks=col_blocks,
+        receiver_columns=scheme.receiver_columns,
     )

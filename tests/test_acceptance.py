@@ -161,7 +161,8 @@ def test_monte_carlo_tracks_composite_rate(shape, p):
 def test_structural_property_suite_100_seeds():
     """Nulling, alignment, zero patterns, probabilities, and duality."""
     dims = bx.Dimensions(4, 3)
-    worst_null = worst_align = worst_cross = 0.0
+    worst_null = worst_align = 0.0
+    min_separation = float("inf")
     for seed in range(100):
         ch = bx.sample_channels(dims, seed)
         # null carriers really annihilate their channel
@@ -174,7 +175,8 @@ def test_structural_property_suite_100_seeds():
             worst_align = max(
                 worst_align, float(np.linalg.norm(ch.h(a) @ ga - ch.h(b) @ gb))
             )
-        # the decode engine agrees: residuals from full runs stay tiny
+        # the decode engine agrees: residuals from full runs stay tiny, and
+        # every receiver separates its variables far above the gate
         for scheme in (
             bx.build_zf_code(dims),
             bx.build_block_ia_precoder(dims),
@@ -183,12 +185,10 @@ def test_structural_property_suite_100_seeds():
             res = bx.verify_decodability(ch, scheme, trials=1, seed=seed)
             assert res.ok, (scheme.name, seed, res.error)
             worst_null = max(worst_null, res.max_null_residual)
-            worst_align = max(worst_align, res.max_align_mismatch)
-            worst_cross = max(worst_cross, res.max_group_crosscheck)
+            min_separation = min(min_separation, res.min_separation)
     assert worst_null < 1e-10
     assert worst_align < 1e-10
-    # crosscheck compares two solved estimates, so it carries solve error
-    assert worst_cross < 1e-6
+    assert min_separation > 1e-7  # two orders above the 1e-9 gate
 
     # zero-pattern fidelity: silent variables and dead links give exact zeros
     ch = bx.sample_channels(dims, 0)
@@ -229,5 +229,5 @@ def test_structural_property_suite_100_seeds():
             )
     print(
         f"PASS structural suite: null={worst_null:.2e} align={worst_align:.2e} "
-        f"crosscheck={worst_cross:.2e} over 100 seeds"
+        f"separation={min_separation:.2e} over 100 seeds"
     )

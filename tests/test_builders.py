@@ -41,7 +41,7 @@ def test_pair_code_small_square_total():
 def test_block_precoder_totals(shape):
     m, n = shape
     sp = bx.build_block_ia_precoder(bx.Dimensions(m, n))
-    assert isinstance(sp, bx.SuperPrecoder)
+    assert isinstance(sp, bx.CodeScheme)
     assert sp.total_symbols == 8 * n
     assert sp.n_slots == 5
 

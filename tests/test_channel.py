@@ -1,7 +1,5 @@
 """Topology bookkeeping, sampling, and channel draws."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -220,17 +218,6 @@ def test_channels_deterministic_and_readonly():
         assert np.array_equal(a.h(k), b.h(k))
     with pytest.raises(ValueError):
         a.h(1)[0, 0] = 99.0
-
-
-def test_channelset_json_round_trip():
-    dims = bx.Dimensions(4, 3)
-    ch = bx.sample_channels(dims, 5)
-    blob = ch.to_json()
-    back = bx.ChannelSet.from_json(blob)
-    json.loads(blob)  # must be plain JSON
-    assert back.dims == ch.dims
-    for k in range(1, 5):
-        assert np.array_equal(back.h(k), ch.h(k))
 
 
 def test_dimensions_ratio_helpers():

@@ -110,6 +110,30 @@ def test_verify_json(capsys):
     assert any(r["dof"] == 24 for r in records)
 
 
+def test_verify_draws_each_shape_and_seed_once(capsys, monkeypatch):
+    import burstyx.cli
+
+    real = burstyx.cli.sample_channels
+    drawn = []
+
+    def counting(dims, seed):
+        drawn.append((dims.m, dims.n, seed))
+        return real(dims, seed)
+
+    monkeypatch.setattr(burstyx.cli, "sample_channels", counting)
+    rc = main(["verify", "--shapes", "4x3,3x3,4x2", "--constructions", "z12,zf,z12,singles",
+               "--seeds", "2", "--trials", "1"])
+    assert rc == 0
+    assert sorted(drawn) == sorted((m, n, seed) for m, n in ((4, 3), (3, 3), (4, 2)) for seed in (0, 1))
+    lines = capsys.readouterr().out.splitlines()
+    # records stay construction-major, seeds within, skips in place
+    z12 = [line.split()[:4] for line in lines if " z12 " in line and "4x3" in line]
+    assert z12 == [["ok", "z12", "4x3", "seed=0"], ["ok", "z12", "4x3", "seed=1"]] * 2
+    # 3 shapes x 19 labels, less the skips (z12 twice and zf at 4x2, the
+    # all-links single at 4x3), times 2 seeds
+    assert lines[-1] == "106 checks, 4 skipped, all ok"
+
+
 def test_verify_rejects_nonpositive_counts(capsys):
     for flag, value in (("--seeds", "-1"), ("--seeds", "0"), ("--trials", "0")):
         assert main(["verify", "--shapes", "4x3", "--constructions", "z12",

@@ -104,13 +104,26 @@ def test_solve_exact_recovers():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((6, 4))
     x = rng.standard_normal(4)
-    got = bx.solve_exact(a, a @ x)
-    assert np.linalg.norm(got - x) < 1e-9
+    solve, _s = bx.solve_exact(a)
+    assert np.linalg.norm(solve(a @ x) - x) < 1e-9
+
+
+def test_solve_exact_returns_the_singular_values():
+    rng = np.random.default_rng(18)
+    for shape in [(6, 4), (4, 4), (9, 1)]:
+        a = rng.standard_normal(shape)
+        _solve, s = bx.solve_exact(a)
+        # Equal to rounding: numpy computes them without vectors here.
+        np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-12)
 
 
 def test_solve_exact_zero_width():
-    out = bx.solve_exact(np.zeros((3, 0)), np.zeros(3))
-    assert out.shape == (0,)
+    solve, s = bx.solve_exact(np.zeros((3, 0)))
+    assert s.shape == (0,)
+    assert solve(np.zeros(3)).shape == (0,)
+    assert solve(np.zeros((3, 5))).shape == (0, 5)
+    with pytest.raises(ValueError, match="incompatible"):
+        solve(np.zeros(2))
 
 
 def test_solve_exact_underdetermined():
@@ -118,24 +131,28 @@ def test_solve_exact_underdetermined():
     a[:, 0] = [1.0, 2.0, 3.0]
     a[:, 1] = [2.0, 4.0, 6.0]
     with pytest.raises(ValueError, match="underdetermined"):
-        bx.solve_exact(a, np.array([1.0, 2.0, 3.0]))
+        bx.solve_exact(a)
 
 
 def test_solve_exact_inconsistent():
     a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     y = np.array([1.0, 1.0, 0.5])  # third row cannot be reached
+    solve, _s = bx.solve_exact(a)
     with pytest.raises(ValueError, match="inconsistent system"):
-        bx.solve_exact(a, y)
+        solve(y)
+    with pytest.raises(ValueError, match="incompatible"):
+        solve(y[:2])
 
 
 def test_solve_exact_batch_equals_column_solves():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((7, 4))
     y = a @ rng.standard_normal((4, 6))
-    got = bx.solve_exact(a, y)
+    solve, _s = bx.solve_exact(a)
+    got = solve(y)
     assert got.shape == (4, 6)
     for j in range(6):
-        assert np.linalg.norm(got[:, j] - bx.solve_exact(a, y[:, j])) < 1e-12
+        assert np.linalg.norm(got[:, j] - solve(y[:, j])) < 1e-12
 
 
 def test_solve_exact_batch_with_one_inconsistent_column_raises():
@@ -143,31 +160,36 @@ def test_solve_exact_batch_with_one_inconsistent_column_raises():
     a = rng.standard_normal((5, 3))
     y = a @ rng.standard_normal((3, 4))
     y[:, 2] += np.linalg.svd(a)[0][:, -1]  # a direction outside a's range
+    solve, _s = bx.solve_exact(a)
     with pytest.raises(ValueError, match="inconsistent system"):
-        bx.solve_exact(a, y)
-    bx.solve_exact(a, np.delete(y, 2, axis=1))
+        solve(y)
+    solve(np.delete(y, 2, axis=1))
 
 
 # numpy warns about inf * 0 inside the solve before the check rejects it.
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_exact_rejects_non_finite_right_hand_side(bad):
+    solve, _s = bx.solve_exact(np.eye(2))
     with pytest.raises(ValueError, match="inconsistent system"):
-        bx.solve_exact(np.eye(2), np.array([bad, 1.0]))
+        solve(np.array([bad, 1.0]))
     y = np.ones((2, 3))
     y[0, 1] = bad  # one bad column of a batch
     with pytest.raises(ValueError, match="inconsistent system"):
-        bx.solve_exact(np.eye(2), y)
+        solve(y)
+    with pytest.raises(ValueError, match="non-finite"):
+        bx.solve_exact(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_solve_exact_wide_and_zero_matrices_are_underdetermined(batch):
+    """Either is refused when factored, before any right-hand side."""
     rng = np.random.default_rng(7)
     wide = rng.standard_normal((2, 3))
     with pytest.raises(ValueError, match="underdetermined"):
-        bx.solve_exact(wide, np.zeros((2,) + batch))
+        bx.solve_exact(wide)[0](np.zeros((2,) + batch))
     with pytest.raises(ValueError, match="underdetermined"):
-        bx.solve_exact(np.zeros((4, 2)), np.zeros((4,) + batch))
+        bx.solve_exact(np.zeros((4, 2)))[0](np.zeros((4,) + batch))
 
 
 def test_rank_tolerance_scales_with_magnitude():

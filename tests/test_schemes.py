@@ -1,4 +1,4 @@
-"""Carriers, scheme validation, serialization, and effective channels."""
+"""Carriers, scheme validation, and effective channels."""
 
 from collections import Counter
 
@@ -8,7 +8,7 @@ import pytest
 import burstyx as bx
 import burstyx.schemes
 import burstyx.sim
-from burstyx.schemes import Carrier, CodeScheme, DecodeStep, Placement, Variable
+from burstyx.schemes import Carrier, CodeScheme, Placement, Variable
 
 
 def _dims(m=4, n=3):
@@ -120,13 +120,6 @@ def test_align_carrier_is_the_leading_pinv_columns():
         assert np.array_equal(block, Carrier("pinv", k, ch=3).materialize(ch))
 
 
-def test_carrier_json_round_trip():
-    c = Carrier("pair", 2, ch=3, ch_b=4, side="b", start=0)
-    assert Carrier.from_json(c.to_json()) == c
-    c2 = Carrier("I-slice", 3, start=2)
-    assert Carrier.from_json(c2.to_json()) == c2
-
-
 def _two_stream_scheme(dims):
     """Hand-rolled all-links slot: each tx sends its own identity load."""
     m = dims.m
@@ -139,7 +132,6 @@ def _two_stream_scheme(dims):
             Placement(0, 1, "u1", Carrier("I-slice", m)),
             Placement(0, 2, "u2", Carrier("I-slice", m)),
         ),
-        (DecodeStep(rx=1, slots=(0,), solve=("u1", "u2")),),
     )
 
 
@@ -166,7 +158,6 @@ def test_effective_channel_gates_dead_links():
             Placement(0, 1, "u1", Carrier("I-slice", 2)),
             Placement(0, 2, "u2", Carrier("I-slice", 2)),
         ),
-        (DecodeStep(rx=1, slots=(0,), solve=("u1", "u2")),),
     )
     eff = bx.effective_channel(ch, scheme)
     assert np.all(eff.block(2, 0, "u1") == 0.0)
@@ -183,28 +174,7 @@ def test_effective_channel_concat_order():
     assert np.array_equal(flat[cols["u1"]], x["u1"])
     assert np.array_equal(flat[cols["u2"]], x["u2"])
     y = eff.matrix @ flat
-    rows1 = eff.rows_for(1, (0,))
-    assert np.allclose(y[rows1], ch.h(1) @ x["u1"] + ch.h(2) @ x["u2"])
-
-
-def test_scheme_json_round_trip():
-    scheme = bx.build_zf_code(_dims(4, 3))
-    back = CodeScheme.from_json(scheme.to_json())
-    assert back == scheme
-    assert back.to_json() == scheme.to_json()
-
-
-def test_super_precoder_json_round_trip_keeps_grid():
-    sp = bx.build_block_ia_precoder(_dims(4, 3))
-    blob = sp.to_json()
-    assert '"super_precoder": true' in blob
-    back = CodeScheme.from_json(blob)
-    assert isinstance(back, bx.SuperPrecoder)
-    assert back == sp
-    grid = sp.grid(1)
-    assert len(grid) == sp.n_slots
-    kinds = {entry["kind"] for row in grid for entry in row}
-    assert "zero" in kinds  # silent variables are spelled out per slot
+    assert np.allclose(y[eff.row_blocks[(1, 0)]], ch.h(1) @ x["u1"] + ch.h(2) @ x["u2"])
 
 
 def test_validation_rejects_duplicate_names():
@@ -219,7 +189,6 @@ def test_validation_rejects_duplicate_names():
                 Placement(0, 1, "u", Carrier("I-slice", 2)),
                 Placement(0, 2, "u", Carrier("I-slice", 2)),
             ),
-            (DecodeStep(rx=1, slots=(0,), solve=("u",)),),
         )
 
 
@@ -232,7 +201,6 @@ def test_validation_rejects_unknown_topology():
             ("nothere",),
             (Variable("u", 2, 1, 1),),
             (Placement(0, 1, "u", Carrier("I-slice", 2)),),
-            (DecodeStep(rx=1, slots=(0,), solve=("u",)),),
         )
 
 
@@ -245,7 +213,6 @@ def test_validation_rejects_width_mismatch():
             ("f",),
             (Variable("u", 2, 1, 1),),
             (Placement(0, 1, "u", Carrier("I-slice", 1)),),
-            (DecodeStep(rx=1, slots=(0,), solve=("u",)),),
         )
 
 
@@ -262,52 +229,40 @@ def test_validation_rejects_zero_length_variable():
                 Placement(0, 1, "u", Carrier("I-slice", 2)),
                 Placement(0, 2, "z", Carrier("I-slice", 0)),
             ),
-            (
-                DecodeStep(rx=1, slots=(0,), solve=("u",)),
-                DecodeStep(rx=2, slots=(0,), solve=("z",)),
-            ),
         )
 
 
-def test_validation_requires_single_solve():
+def test_validation_rejects_bad_placements():
+    """What is left of validation once receivers pick their own decode."""
     dims = _dims(2, 2)
-    base = dict(
-        dims=dims,
-        slot_topologies=("f",),
-        variables=(Variable("u", 2, 1, 1),),
-        placements=(Placement(0, 1, "u", Carrier("I-slice", 2)),),
-    )
-    with pytest.raises(ValueError, match="solve"):
-        CodeScheme("never_solved", steps=(), **base)
-    with pytest.raises(ValueError, match="solve"):
-        CodeScheme(
-            "solved_twice",
-            steps=(
-                DecodeStep(rx=1, slots=(0,), solve=("u",)),
-                DecodeStep(rx=2, slots=(0,), solve=("u",)),
-            ),
-            **base,
-        )
+    u = Variable("u", 2, 1, 1)
+    cases = [
+        ("never placed", ()),
+        ("missing slot", (Placement(1, 1, "u", Carrier("I-slice", 2)),)),
+        ("unknown variable", (Placement(0, 1, "v", Carrier("I-slice", 2)),)),
+        ("wrong transmitter", (Placement(0, 2, "u", Carrier("I-slice", 2)),)),
+    ]
+    for message, placements in cases:
+        with pytest.raises(ValueError, match=message):
+            CodeScheme("bad", dims, ("f",), (u,), placements)
 
 
-def test_validation_orders_cancel_after_solve():
-    dims = _dims(2, 2)
-    with pytest.raises(ValueError, match="cancel"):
-        CodeScheme(
-            "bad",
-            dims,
-            ("f", "f"),
-            (Variable("u", 2, 1, 1), Variable("v", 2, 2, 2)),
-            (
-                Placement(0, 1, "u", Carrier("I-slice", 2)),
-                Placement(1, 2, "v", Carrier("I-slice", 2)),
-            ),
-            (
-                # cancels v before any step has solved it
-                DecodeStep(rx=1, slots=(0,), solve=("u",), cancel=("v",)),
-                DecodeStep(rx=2, slots=(1,), solve=("v",)),
-            ),
-        )
+def test_receiver_columns_split_by_receiver_once_per_scheme():
+    scheme = bx.build_zf_code(_dims(4, 3))
+    eff = bx.effective_channel(bx.sample_channels(_dims(4, 3), 1), scheme)
+    assert eff.receiver_columns is scheme.receiver_columns
+    for rx in (1, 2):
+        desired, interference = scheme.receiver_columns[rx]
+        want = [
+            col
+            for v in scheme.variables
+            if v.rx == rx
+            for col in range(eff.col_blocks[v.name].start, eff.col_blocks[v.name].stop)
+        ]
+        assert desired.tolist() == want
+        assert sorted(desired.tolist() + interference.tolist()) == list(range(scheme.total_symbols))
+        with pytest.raises(ValueError):
+            desired[0] = 0
 
 
 def test_total_symbols_counts_lengths():

@@ -151,8 +151,8 @@ def test_simulation_checks_every_message_of_a_batch(monkeypatch):
     real = burstyx.sim.sic_decode
     batch_widths = []
 
-    def wrong_second_message(eff, steps, x_true, rel_tol=1e-6):
-        decoded, metrics = real(eff, steps, x_true, rel_tol)
+    def wrong_second_message(eff, x_true, rel_tol=1e-6):
+        decoded, metrics = real(eff, x_true, rel_tol)
         name = next(iter(decoded))
         batch_widths.append(decoded[name].shape[1])
         decoded[name] = decoded[name].copy()
@@ -172,8 +172,8 @@ def test_simulation_fails_a_nan_decode(monkeypatch):
 
     real = burstyx.sim.sic_decode
 
-    def nan_decode(eff, steps, x_true, rel_tol=1e-6):
-        decoded, metrics = real(eff, steps, x_true, rel_tol)
+    def nan_decode(eff, x_true, rel_tol=1e-6):
+        decoded, metrics = real(eff, x_true, rel_tol)
         name = eff.var_order[-1]
         decoded[name] = np.full_like(decoded[name], np.nan)
         return decoded, metrics
@@ -189,8 +189,8 @@ def test_simulation_names_the_first_failing_variable(monkeypatch):
     real = burstyx.sim.sic_decode
     names = []
 
-    def wrong_last_two(eff, steps, x_true, rel_tol=1e-6):
-        decoded, metrics = real(eff, steps, x_true, rel_tol)
+    def wrong_last_two(eff, x_true, rel_tol=1e-6):
+        decoded, metrics = real(eff, x_true, rel_tol)
         names.extend(eff.var_order[-2:])
         for name in eff.var_order[-2:]:
             decoded[name] = decoded[name] + 1.0
@@ -235,8 +235,8 @@ def test_spot_check_holds_each_variable_of_each_message_to_rel_tol(monkeypatch, 
 
     real = burstyx.sim.sic_decode
 
-    def off_by_factor_of_tol(eff, steps, x_true, rel_tol=1e-6):
-        decoded, metrics = real(eff, steps, x_true, rel_tol)
+    def off_by_factor_of_tol(eff, x_true, rel_tol=1e-6):
+        decoded, metrics = real(eff, x_true, rel_tol)
         name = eff.var_order[-1]
         x = x_true[name]
         decoded[name] = x.copy()
