@@ -337,7 +337,7 @@ def test_null_residual_equals_per_variable_norms(shape):
         _known, metrics = bx.sic_decode(eff, x)
         expected = _null_residual_reference(eff, scheme)
         # Singular values at rounding level (about 1e-16) depend on the
-        # LAPACK driver, so they are compared absolutely, far below the gate.
+        # LAPACK routine, so they are compared absolutely, far below the gate.
         assert abs(metrics.max_null_residual - expected) <= 1e-12 * expected + 1e-15, scheme.name
 
 
