@@ -2,8 +2,9 @@
 
 Channel index conventions (see channel.ChannelSet): h(1) is rx1 from tx1,
 h(2) rx1 from tx2, h(3) rx2 from tx1, h(4) rx2 from tx2. A carrier built on
-null(h(k)) is invisible at the receiver of link k; an alignment carrier on
-h(k) lands on the leading coordinates of rx k's space.
+null(h(k)) is invisible at the receiver of link k; a pseudo-inverse carrier
+on h(k) lands on consecutive coordinates of that receiver's space, the
+leading ones (an alignment block) when it starts at column 0.
 
 Single-slot codes exist for all sixteen topologies; the all-links topology
 is the only one with shape restrictions, and build_f_fallback covers the
@@ -44,10 +45,6 @@ def _ident(width: int, start: int = 0) -> Carrier:
 
 def _pinv(ch: int, width: int, start: int = 0) -> Carrier:
     return Carrier("pinv", width, ch=ch, start=start)
-
-
-def _align(ch: int, width: int) -> Carrier:
-    return Carrier("align", width, ch=ch)
 
 
 def _null(ch: int, width: int) -> Carrier:
@@ -413,8 +410,8 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
 
     if m >= n:
         wc, wp = 2 * n - m, m - n
-        car_c, car_d = _align(1, wc), _align(3, wc)
-        car_j, car_k = _align(2, wc), _align(4, wc)
+        car_c, car_d = _pinv(1, wc), _pinv(3, wc)
+        car_j, car_k = _pinv(2, wc), _pinv(4, wc)
         car_g, car_n = _null(3, wp), _null(2, wp)
         car_e, car_f = _null(3, wp), _null(1, wp)
         car_l, car_m = _null(2, wp), _null(4, wp)
@@ -549,10 +546,10 @@ def build_refined_ia_precoder(dims: Dimensions) -> CodeScheme:
     split = {
         # u12 sends to rx2 while aligned at rx1; its private parts hide from
         # rx1 (null 1) and from rx2 (null 3). u14 is the mirror toward rx1.
-        "u12": (("u12a", _align(1, wc), wc), ("u12p1", _null(1, wp), wp), ("u12p3", _null(3, wp), wp)),
-        "u14": (("u14a", _align(3, wc), wc), ("u14p3", _null(3, wp), wp)),
-        "u22": (("u22a", _align(2, wc), wc), ("u22p2", _null(2, wp), wp)),
-        "u24": (("u24a", _align(4, wc), wc), ("u24p4", _null(4, wp), wp), ("u24p2", _null(2, wp), wp)),
+        "u12": (("u12a", _pinv(1, wc), wc), ("u12p1", _null(1, wp), wp), ("u12p3", _null(3, wp), wp)),
+        "u14": (("u14a", _pinv(3, wc), wc), ("u14p3", _null(3, wp), wp)),
+        "u22": (("u22a", _pinv(2, wc), wc), ("u22p2", _null(2, wp), wp)),
+        "u24": (("u24a", _pinv(4, wc), wc), ("u24p4", _null(4, wp), wp), ("u24p2", _null(2, wp), wp)),
         "u11": (("u11", _ident(n), n),),
         "u13": (("u13", _ident(n), n),),
         "u21": (("u21", _ident(n), n),),

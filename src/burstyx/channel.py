@@ -32,7 +32,7 @@ Link ``ji`` means transmitter ``i`` -> receiver ``j``; its matrix is ``h<j><i>``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -220,7 +220,6 @@ class ChannelSet:
         h12: np.ndarray,
         h21: np.ndarray,
         h22: np.ndarray,
-        seed: Optional[int] = None,
     ) -> None:
         shape = (dims.n, dims.m)
         mats = []
@@ -234,7 +233,6 @@ class ChannelSet:
             h.setflags(write=False)
             mats.append(h)
         self.dims = dims
-        self.seed = seed
         self.h11, self.h12, self.h21, self.h22 = mats
         self.bases: Dict[tuple, object] = {}
 
@@ -264,6 +262,6 @@ def sample_channels(dims: Dimensions, seed: int) -> ChannelSet:
     for _attempt in range(100):
         deficient = np.flatnonzero(np.linalg.matrix_rank(mats) != min(shape))
         if deficient.size == 0:
-            return ChannelSet(dims, *mats, seed=seed)
+            return ChannelSet(dims, *mats)
         mats[deficient] = rng.standard_normal((deficient.size,) + shape)
     raise RuntimeError("could not draw a full-rank channel matrix")  # pragma: no cover

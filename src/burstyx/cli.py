@@ -6,10 +6,14 @@ Subcommands:
   verify    build and decode the constructions across shapes and seeds
   simulate  schedule and spot-decode a sampled window of slots
 
+Antenna counts (verify --shapes, simulate --m/--n) are at most 64 per side,
+which keeps a channel draw's memory bounded.
+
 Exit codes: 0 on success, 1 when a verification or simulation check fails,
-2 on usage errors. When the reader of stdout goes away early (``burstyx
-verify | head -2``), the command stops writing and exits 1 without a
-traceback, since its output is incomplete.
+2 on usage errors, such as an antenna count above that ceiling. When the
+reader of stdout goes away early (``burstyx verify | head -2``), the command
+stops writing and exits 1 without a traceback, since its output is
+incomplete.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ _SERIES: Dict[str, Callable[[float, float], float]] = {
 }
 
 _CONSTRUCTIONS = ("z12", "z34", "zf", "ia_block", "ia_refined")
+_MAX_ANTENNAS = 64
 
 
 def _fmt(value: float) -> str:
@@ -67,9 +72,14 @@ def _parse_shapes(text: str) -> List[Dimensions]:
             continue
         try:
             m, n = part.split("x")
-            shapes.append(Dimensions(int(m), int(n)))
+            dims = Dimensions(int(m), int(n))
         except (ValueError, TypeError) as exc:
             raise argparse.ArgumentTypeError(f"bad shape {part!r}: {exc}")
+        if max(dims.m, dims.n) > _MAX_ANTENNAS:
+            raise argparse.ArgumentTypeError(
+                f"bad shape {part!r}: at most {_MAX_ANTENNAS} antennas per side"
+            )
+        shapes.append(dims)
     if not shapes:
         raise argparse.ArgumentTypeError("no shapes given")
     return shapes
@@ -217,6 +227,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise SystemExit("--slots must be positive")
     if not 0 <= args.p <= 1:
         raise SystemExit("--p must lie in [0, 1]")
+    if max(args.m, args.n) > _MAX_ANTENNAS:
+        raise SystemExit(f"--m and --n must be at most {_MAX_ANTENNAS}")
     dims = Dimensions(args.m, args.n)
     try:
         result = run_simulation(
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shapes",
         type=_parse_shapes,
         default=_parse_shapes("4x3,3x4,3x2,2x3,3x3,4x2"),
-        help="comma-separated MxN list",
+        help=f"comma-separated MxN list, at most {_MAX_ANTENNAS} antennas per side",
     )
     v.add_argument(
         "--constructions",

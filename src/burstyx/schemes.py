@@ -7,7 +7,7 @@ slots (see decode). Everything is symbolic until materialized against a
 concrete channel draw:
 
 - Carrier: a symbolic precoder block (identity slice, pseudo-inverse slice,
-  alignment block, null-space basis, or tall-orientation alignment pair).
+  null-space basis, or tall-orientation alignment pair).
 - Variable: a named message vector with a length, an owning transmitter and
   an intended receiver.
 - Placement: variable v rides carrier C from transmitter t in slot s.
@@ -34,12 +34,13 @@ __all__ = [
     "CodeScheme",
     "EffectiveChannel",
     "effective_channel",
-    # Not called here (an align carrier slices the memoized pinv basis): the
-    # benchmark's tracer and its tests resolve this binding through this module.
+    # Not called here (a pinv carrier at start 0 is the alignment block, sliced
+    # from the memoized basis): the benchmark's tracer and its tests resolve
+    # this binding through this module.
     "alignment_block",
 ]
 
-_CARRIER_KINDS = ("I-slice", "pinv", "align", "null", "pair")
+_CARRIER_KINDS = ("I-slice", "pinv", "null", "pair")
 
 
 def _basis(channels: ChannelSet, kind: str, ch: int, ch_b: Optional[int] = None):
@@ -70,9 +71,8 @@ class Carrier:
 
     kind:
       I-slice  columns [start, start+width) of I_M
-      pinv     columns [start, start+width) of pseudo_inverse(H_ch)
-      align    leading width columns of pseudo_inverse(H_ch), as
-               alignment_block(H_ch, width) gives them
+      pinv     columns [start, start+width) of pseudo_inverse(H_ch); at
+               start 0, alignment_block(H_ch, width)
       null     columns [start, start+width) of null_space_basis(H_ch)
       pair     one side of paired_alignment(H_ch, H_ch_b), leading columns
     """
@@ -110,11 +110,9 @@ class Carrier:
             if self.width > block.shape[1]:
                 raise ValueError("pair slice exceeds paired null-space dimension")
             return block[:, : self.width]
-        # An align carrier is the leading columns of the pinv basis.
-        kind = "null" if self.kind == "null" else "pinv"
-        basis = _basis(channels, kind, self.ch)
+        basis = _basis(channels, self.kind, self.ch)
         if self.start + self.width > basis.shape[1]:
-            raise ValueError(f"{kind} slice exceeds available columns")
+            raise ValueError(f"{self.kind} slice exceeds available columns")
         return basis[:, self.start : self.start + self.width]
 
 @dataclass(frozen=True)
@@ -159,12 +157,6 @@ class CodeScheme:
     @property
     def total_symbols(self) -> int:
         return sum(v.length for v in self.variables)
-
-    def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
     def topology(self, slot: int) -> Topology:
         return TOPOLOGIES[self.slot_topologies[slot]]

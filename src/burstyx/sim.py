@@ -1,11 +1,14 @@
-"""Slot scheduling over sampled topology sequences and Monte Carlo runs.
+"""Slot scheduling over counted topologies, and Monte Carlo runs.
 
-The scheduler is count driven: given how many slots of each topology a
-window contains, it greedily forms the most efficient supported blocks.
-With min/max above 2/3 it first builds five-slot groups (one of each
-one-off-link slot plus one all-links slot), then pairs leftover one-off
-slots, then codes the rest in isolation. Between 1/2 and 2/3 it skips the
-five-slot groups; at or below 1/2 single-slot codes are already optimal.
+A code kind is one code and the multiset of slot topologies one of its
+blocks occupies. _KINDS lists every kind in priority order: the five-slot
+zf code, the two pair codes, then the one-slot codes in topology name
+order, with the all-links fallback right after the standalone all-links
+code. schedule_codes walks the list once over a window's topology
+histogram and gives each kind as many blocks as the remaining counts
+allow. A kind exists at a shape exactly when its builder returns there, so
+the shape rules (antenna-ratio thresholds, the all-links special cases)
+live in the builders alone.
 
 run_simulation draws the channels, the window's topology histogram (one
 multinomial draw; the scheduler reads nothing else) and the spot-check
@@ -19,8 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from .channel import (
 # Bound under its old name, which the benchmark's tracer looks up here.
 from .decode import sic_decode
 from .formulas import composite_achievable
-from .schemes import effective_channel
+from .schemes import CodeScheme, effective_channel
 
 __all__ = [
     "Allocation",
@@ -54,37 +58,51 @@ __all__ = [
 ]
 
 
-def _standalone_full_supported(m: int, n: int) -> bool:
-    mn, mx = min(m, n), max(m, n)
-    return 3 * mn <= 2 * mx or (m == n and m % 3 == 0)
+class _Kind(NamedTuple):
+    uses: Mapping[str, int]  # slots of one block, per topology
+    build: Callable[[Dimensions], CodeScheme]  # raises ValueError where the kind does not exist
+
+
+def _kind(slots: Tuple[str, ...], build: Callable[[Dimensions], CodeScheme]) -> _Kind:
+    return _Kind(Counter(slots), build)
+
+
+# The builders are called through this module's bindings, which the
+# benchmark's tracer rebinds. The order is also the decode order, which
+# fixes each kind's spot-check messages.
+_KINDS: Dict[str, _Kind] = {
+    "zf": _kind(("z1", "z2", "z3", "z4", "f"), lambda dims: build_zf_code(dims)),
+    "z12": _kind(("z1", "z2"), lambda dims: build_z_pair_code(dims, "z12")),
+    "z34": _kind(("z3", "z4"), lambda dims: build_z_pair_code(dims, "z34")),
+    # "f_fallback" sorts right after "f", the code it stands in for.
+    **dict(
+        sorted(
+            [("f_fallback", _kind(("f",), lambda dims: build_f_fallback(dims)))]
+            + [
+                (t, _kind((t,), lambda dims, t=t: build_single_topology_code(t, dims)))
+                for t in TOPOLOGIES
+                if t != "empty"
+            ]
+        )
+    ),
+}
 
 
 @dataclass
 class Allocation:
     """How a window of counted slots is carved into code blocks.
 
-    singles counts one-slot codes per topology (the all-links entry uses
-    the fallback construction when f_fallback is set). leftover counts
-    slots no code runs on, which is only ever the all-off topology.
+    blocks counts the blocks of each scheduled kind, in scheduling order;
+    a kind with no block is absent. leftover counts slots no code runs on,
+    which is only ever the all-off topology.
     """
 
-    zf_blocks: int = 0
-    z12_blocks: int = 0
-    z34_blocks: int = 0
-    singles: Dict[str, int] = field(default_factory=dict)
+    blocks: Dict[str, int] = field(default_factory=dict)
     leftover: Dict[str, int] = field(default_factory=dict)
-    f_fallback: bool = False
-
-    def slots_used(self) -> int:
-        return (
-            5 * self.zf_blocks
-            + 2 * self.z12_blocks
-            + 2 * self.z34_blocks
-            + sum(self.singles.values())
-        )
 
     def slots_total(self) -> int:
-        return self.slots_used() + sum(self.leftover.values())
+        used = sum(sum(_KINDS[k].uses.values()) * c for k, c in self.blocks.items())
+        return used + sum(self.leftover.values())
 
 
 def _normalize_hist(
@@ -106,46 +124,28 @@ def schedule_codes(
 ) -> Allocation:
     """Allocate counted slots to code blocks for the given shape.
 
+    Each kind, in priority order, takes as many whole blocks as the slots
+    the kinds before it left allow, if its builder returns at this shape.
     The link-on probability plays no part: with counts in hand the greedy
-    choice is the same for every p (five-slot groups strictly dominate what
-    their slots would earn separately, and pairs dominate singles).
+    choice is the same for every p (five-slot blocks strictly dominate what
+    their slots would earn separately, and pairs dominate one-slot codes).
     """
     counts = _normalize_hist(hist)
-    m, n = dims.m, dims.n
-    mn, mx = min(m, n), max(m, n)
-    alloc = Allocation()
-    alloc.leftover["empty"] = counts["empty"]
-
-    pair_regime = 2 * mn > mx
-    zf_regime = 3 * mn > 2 * mx
-
     remaining = dict(counts)
-    if zf_regime:
-        block = min(
-            remaining["z1"],
-            remaining["z2"],
-            remaining["z3"],
-            remaining["z4"],
-            remaining["f"],
-        )
-        alloc.zf_blocks = block
-        for name in ("z1", "z2", "z3", "z4", "f"):
-            remaining[name] -= block
-    if pair_regime:
-        alloc.z12_blocks = min(remaining["z1"], remaining["z2"])
-        remaining["z1"] -= alloc.z12_blocks
-        remaining["z2"] -= alloc.z12_blocks
-        alloc.z34_blocks = min(remaining["z3"], remaining["z4"])
-        remaining["z3"] -= alloc.z34_blocks
-        remaining["z4"] -= alloc.z34_blocks
-
-    for name in TOPOLOGIES:
-        if name == "empty":
+    alloc = Allocation()
+    for name, kind in _KINDS.items():
+        blocks = min(remaining[t] // u for t, u in kind.uses.items())
+        if blocks == 0:
             continue
-        if remaining[name]:
-            alloc.singles[name] = remaining[name]
-    if alloc.singles.get("f") and not _standalone_full_supported(m, n):
-        alloc.f_fallback = True
+        try:
+            kind.build(dims)
+        except ValueError:
+            continue  # the kind does not exist at this shape
+        alloc.blocks[name] = blocks
+        for t, u in kind.uses.items():
+            remaining[t] -= u * blocks
+    # "empty" has no kind, so its count is always reported, even when 0.
+    alloc.leftover = {t: c for t, c in remaining.items() if c or t == "empty"}
 
     assert alloc.slots_total() == sum(counts.values())
     return alloc
@@ -205,19 +205,7 @@ def run_simulation(
     channels = sample_channels(dims, seed)
     topo_seq, msg_seq = np.random.SeedSequence(seed).spawn(2)
     alloc = schedule_codes(sample_topology_counts(p, n, topo_seq), dims)
-
-    kinds: List[Tuple[object, int]] = []
-    if alloc.zf_blocks:
-        kinds.append((build_zf_code(dims), alloc.zf_blocks))
-    if alloc.z12_blocks:
-        kinds.append((build_z_pair_code(dims, "z12"), alloc.z12_blocks))
-    if alloc.z34_blocks:
-        kinds.append((build_z_pair_code(dims, "z34"), alloc.z34_blocks))
-    for name, count in sorted(alloc.singles.items()):
-        if name == "f" and alloc.f_fallback:
-            kinds.append((build_f_fallback(dims), count))
-        else:
-            kinds.append((build_single_topology_code(name, dims), count))
+    kinds = [(_KINDS[name].build(dims), count) for name, count in alloc.blocks.items()]
 
     decoded_symbols = 0
     decodes_run = 0

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from burstyx.cli import main
+import burstyx as bx
+from burstyx.cli import _parse_shapes, main
 
 
 def test_table_human_readable(capsys):
@@ -147,6 +148,35 @@ def test_verify_rejects_malformed_shape():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--shapes", "4y3"])
     assert exc.value.code == 2
+
+
+def test_verify_rejects_antenna_counts_above_the_ceiling(capsys):
+    assert _parse_shapes("64x64,1x64") == [bx.Dimensions(64, 64), bx.Dimensions(1, 64)]
+    for shape in ("65x3", "3x65", "4x3,100000x100000"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--shapes", shape, "--constructions", "zf"])
+        assert exc.value.code == 2
+        assert "at most 64 antennas per side" in capsys.readouterr().err
+
+
+def test_simulate_rejects_antenna_counts_above_the_ceiling(capsys, monkeypatch):
+    import burstyx.cli
+
+    ran = []
+
+    def stub(dims, *args, **kwargs):
+        ran.append((dims.m, dims.n))
+        raise RuntimeError("stub")
+
+    monkeypatch.setattr(burstyx.cli, "run_simulation", stub)
+    for m, n in ((65, 3), (3, 65), (100_000, 100_000)):
+        assert main(["simulate", "--m", str(m), "--n", str(n), "--p", "0.5",
+                     "--slots", "100", "--seed", "1"]) == 2
+        assert "--m and --n must be at most 64" in capsys.readouterr().err
+    assert ran == []
+    assert main(["simulate", "--m", "64", "--n", "64", "--p", "0.5",
+                 "--slots", "100", "--seed", "1"]) == 1
+    assert ran == [(64, 64)]
 
 
 def test_simulate_json(capsys):

@@ -27,7 +27,7 @@ def test_pinv_and_align_carriers():
     ch = bx.sample_channels(_dims(), 1)
     pinv = Carrier("pinv", 3, ch=2).materialize(ch)
     assert np.allclose(ch.h(2) @ pinv, np.eye(3), atol=1e-10)
-    al = Carrier("align", 2, ch=3).materialize(ch)
+    al = Carrier("pinv", 2, ch=3).materialize(ch)
     assert np.allclose(ch.h(3) @ al, np.eye(3)[:, :2], atol=1e-10)
 
 
@@ -81,7 +81,7 @@ def test_each_basis_is_computed_once_per_draw(monkeypatch):
     monkeypatch.setattr(burstyx.sim, "effective_channel", materialize_kind)
     bx.run_simulation(_dims(4, 3), 0.5, 100_000, 3)
 
-    function_of = {"pinv": "pseudo_inverse", "align": "pseudo_inverse", "null": "null_space_basis"}
+    function_of = {"pinv": "pseudo_inverse", "null": "null_space_basis"}
     expected = set()
     for scheme in kinds:
         for pl in scheme.placements:
@@ -98,7 +98,7 @@ def test_each_basis_is_computed_once_per_draw(monkeypatch):
 
 def test_memoized_bases_are_read_only():
     cases = [
-        (_dims(4, 3), [Carrier("pinv", 3, ch=2), Carrier("align", 2, ch=2), Carrier("null", 1, ch=1)]),
+        (_dims(4, 3), [Carrier("pinv", 3, ch=2), Carrier("pinv", 2, ch=2), Carrier("null", 1, ch=1)]),
         (_dims(3, 4), [Carrier("pair", 2, ch=1, ch_b=2, side="a"), Carrier("pair", 2, ch=1, ch_b=2, side="b")]),
     ]
     for dims, carriers in cases:
@@ -112,12 +112,13 @@ def test_memoized_bases_are_read_only():
                 block[0, 0] = 1.0
 
 
-def test_align_carrier_is_the_leading_pinv_columns():
+def test_leading_pinv_carrier_is_the_alignment_block():
     ch = bx.sample_channels(_dims(5, 3), 9)
     for k in range(4):
-        block = Carrier("align", k, ch=3).materialize(ch)
+        block = Carrier("pinv", k, ch=3).materialize(ch)
         assert np.array_equal(block, bx.alignment_block(ch.h(3), k))
-        assert np.array_equal(block, Carrier("pinv", k, ch=3).materialize(ch))
+    with pytest.raises(ValueError, match="unknown carrier kind"):
+        Carrier("align", 2, ch=3)
 
 
 def _two_stream_scheme(dims):

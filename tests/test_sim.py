@@ -1,11 +1,14 @@
 """Slot scheduling and the Monte Carlo driver."""
 
 import json
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import burstyx as bx
+import burstyx.sim
 
 
 def _hist(**kwargs):
@@ -17,21 +20,15 @@ def _hist(**kwargs):
 def test_schedule_blocks_then_pairs():
     """Five of each z slot and three full slots at (4,3)."""
     alloc = bx.schedule_codes(_hist(z1=5, z2=5, z3=5, z4=5, f=3), bx.Dimensions(4, 3))
-    assert alloc.zf_blocks == 3
-    assert alloc.z12_blocks == 2
-    assert alloc.z34_blocks == 2
-    assert sum(alloc.singles.values()) == 0
+    assert list(alloc.blocks.items()) == [("zf", 3), ("z12", 2), ("z34", 2)]
     assert sum(alloc.leftover.values()) == 0
-    assert alloc.slots_used() == 23
     assert alloc.slots_total() == 23
 
 
 def test_schedule_unbalanced_pairs_leave_singles():
     alloc = bx.schedule_codes(_hist(z1=4, z2=1, z3=2, z4=2), bx.Dimensions(4, 3))
-    assert alloc.zf_blocks == 0  # no full slots to anchor five-slot blocks
-    assert alloc.z12_blocks == 1
-    assert alloc.z34_blocks == 2
-    assert alloc.singles.get("z1", 0) == 3
+    # no full slots to anchor five-slot blocks
+    assert list(alloc.blocks.items()) == [("z12", 1), ("z34", 2), ("z1", 3)]
     assert alloc.slots_total() == 9
 
 
@@ -40,48 +37,111 @@ def test_schedule_wide_shape_uses_singles_only():
     alloc = bx.schedule_codes(
         _hist(z1=3, z2=3, z3=3, z4=3, f=2, mac1=4), bx.Dimensions(4, 2)
     )
-    assert alloc.zf_blocks == 0
-    assert alloc.z12_blocks == 0
-    assert alloc.z34_blocks == 0
-    assert sum(alloc.singles.values()) == 18
+    assert alloc.blocks == {"f": 2, "mac1": 4, "z1": 3, "z2": 3, "z3": 3, "z4": 3}
 
 
 def test_schedule_empty_hist():
     alloc = bx.schedule_codes(_hist(), bx.Dimensions(4, 3))
     assert alloc.slots_total() == 0
-    assert alloc.zf_blocks == 0
-    assert sum(alloc.singles.values()) == 0
+    assert alloc.blocks == {}
 
 
 def test_schedule_empty_slots_roll_to_leftover():
     alloc = bx.schedule_codes(_hist(empty=7, s11=2), bx.Dimensions(4, 3))
-    assert alloc.leftover.get("empty", 0) == 7
-    assert alloc.singles.get("s11", 0) == 2
+    assert alloc.leftover == {"empty": 7}
+    assert alloc.blocks == {"s11": 2}
 
 
-def test_schedule_f_without_standalone_support_sets_flag():
+def test_schedule_f_without_standalone_support_uses_fallback():
     alloc = bx.schedule_codes(_hist(f=4), bx.Dimensions(4, 3))
-    assert alloc.singles.get("f", 0) == 4
-    assert alloc.f_fallback  # (4,3) has no standalone all-links code
+    assert alloc.blocks == {"f_fallback": 4}  # (4,3) has no standalone all-links code
     alloc2 = bx.schedule_codes(_hist(f=4), bx.Dimensions(3, 3))
-    assert not alloc2.f_fallback
+    assert alloc2.blocks == {"f": 4}
 
 
 def test_schedule_conserves_slots_on_random_hists():
-    import numpy as np
-
     rng = np.random.default_rng(0)
     for _ in range(50):
         counts = rng.integers(0, 30, size=16)
         hist = {t: int(c) for t, c in zip(sorted(bx.TOPOLOGIES), counts)}
         for dims in (bx.Dimensions(4, 3), bx.Dimensions(4, 2), bx.Dimensions(3, 3)):
             alloc = bx.schedule_codes(hist, dims)
-            assert alloc.slots_used() + sum(alloc.leftover.values()) == sum(counts)
+            assert alloc.slots_total() == sum(counts)
+            used = Counter(alloc.leftover)
+            for name, blocks in alloc.blocks.items():
+                for t, uses in burstyx.sim._KINDS[name].uses.items():
+                    used[t] += uses * blocks
+            assert used == Counter({t: c for t, c in hist.items() if c})
 
 
 def test_schedule_rejects_negative_counts():
     with pytest.raises(ValueError):
         bx.schedule_codes(_hist(z1=-1), bx.Dimensions(4, 3))
+
+
+def test_each_kind_occupies_the_slots_of_its_code():
+    """A kind's slot multiset is its code's, wherever the code builds."""
+    built = Counter()
+    for m in range(1, 13):
+        for n in range(1, 13):
+            dims = bx.Dimensions(m, n)
+            for name, kind in burstyx.sim._KINDS.items():
+                try:
+                    scheme = kind.build(dims)
+                except ValueError:
+                    continue
+                assert Counter(scheme.slot_topologies) == kind.uses, (name, m, n)
+                built[name] += 1
+    assert set(built) == set(burstyx.sim._KINDS)
+
+
+def test_fluid_yield_matches_composite_achievable_exactly():
+    """With p = a/b, a window of b**4 * P(t) slots of each topology t is a
+    whole number of every slot count, so the schedule's symbols per slot is
+    the fluid-limit rate. It equals composite_achievable everywhere except
+    where the open regime's leftover all-links slots fall to the fallback,
+    which delivers max(m, n) where the closed form credits 4/3 of it."""
+    cases = Counter()
+    for a, b in ((1, 5), (1, 2), (3, 5), (7, 10), (9, 10)):
+        p = Fraction(a, b)
+        hist = {t: a**t.n_on * (b - a) ** (4 - t.n_on) for t in bx.TOPOLOGY_BY_INDEX}
+        assert sum(hist.values()) == b**4
+        for m in range(1, 13):
+            for n in range(1, 13):
+                dims = bx.Dimensions(m, n)
+                alloc = bx.schedule_codes(hist, dims)
+                symbols = sum(
+                    burstyx.sim._KINDS[name].build(dims).total_symbols * blocks
+                    for name, blocks in alloc.blocks.items()
+                )
+                mn, mx = min(m, n), max(m, n)
+                if not (3 * mn > 2 * mx and p > Fraction(1, 2)):
+                    case, shortfall = "closed", 0
+                elif m == n and m % 3 == 0:
+                    case, shortfall = "open, standalone f", 0
+                else:
+                    case, shortfall = "open, f_fallback", Fraction(mx, 3) * p**3 * (2 * p - 1)
+                    assert "f_fallback" in alloc.blocks
+                cases[case] += 1
+                expected = bx.composite_achievable(m, n, a / b)
+                assert float(Fraction(symbols, b**4) + shortfall) == pytest.approx(expected, rel=1e-12), (m, n, p)
+    assert cases == {"closed": 576, "open, standalone f": 12, "open, f_fallback": 132}
+
+
+def test_run_simulation_builds_through_the_module_binding(monkeypatch):
+    """The benchmark's tracer wraps the builders where sim calls them."""
+    real = burstyx.sim.build_zf_code
+    calls = []
+
+    def counting(dims):
+        calls.append(dims)
+        return real(dims)
+
+    monkeypatch.setattr(burstyx.sim, "build_zf_code", counting)
+    dims = bx.Dimensions(4, 3)
+    res = bx.run_simulation(dims, 0.7, 20_000, seed=1, decode_fraction=0.0)
+    assert "zf" in res.allocation.blocks
+    assert calls and set(calls) == {dims}
 
 
 def test_simulation_deterministic():
@@ -105,7 +165,7 @@ def test_simulation_always_on_network():
     # p=1 gives all-links slots only; (3,3) decodes 4 per slot standalone
     res = bx.run_simulation(bx.Dimensions(3, 3), 1.0, 5_000, seed=2)
     assert res.empirical_dof_per_slot == pytest.approx(4.0)
-    assert not res.allocation.f_fallback
+    assert res.allocation.blocks == {"f": 5_000}
 
 
 @pytest.mark.parametrize(
@@ -126,12 +186,11 @@ def test_simulation_result_serializes():
         "m", "n", "p", "n_slots", "seed", "decode_fraction", "decoded_symbols",
         "empirical_dof_per_slot", "analytic_reference", "decodes_run", "allocation",
     }
-    assert set(data["allocation"]) == {
-        "zf_blocks", "z12_blocks", "z34_blocks", "singles", "leftover", "f_fallback",
-    }
+    assert set(data["allocation"]) == {"blocks", "leftover"}
     assert data["m"] == 3 and data["n"] == 2
     assert data["n_slots"] == 10_000
-    assert data["allocation"]["z12_blocks"] == res.allocation.z12_blocks
+    assert data["allocation"]["blocks"] == res.allocation.blocks
+    assert "z12" in data["allocation"]["blocks"]
     assert 0 < data["empirical_dof_per_slot"] < 2 * 2 + 1
 
 
