@@ -14,11 +14,9 @@ from .channel import (
     TOPOLOGIES,
     TOPOLOGY_BY_INDEX,
     Topology,
-    count_topologies,
     sample_channels,
     sample_topology_counts,
     sample_topology_indices,
-    topology_distribution,
     topology_probability,
 )
 from .linalg import (
@@ -26,14 +24,12 @@ from .linalg import (
     null_space_basis,
     paired_alignment,
     pseudo_inverse,
-    rank,
     solve_exact,
 )
 from .schemes import (
     Carrier,
     CodeScheme,
     EffectiveChannel,
-    Placement,
     Variable,
     effective_channel,
 )
@@ -78,22 +74,18 @@ __all__ = [
     "TOPOLOGIES",
     "TOPOLOGY_BY_INDEX",
     "Topology",
-    "count_topologies",
     "sample_channels",
     "sample_topology_counts",
     "sample_topology_indices",
-    "topology_distribution",
     "topology_probability",
     "alignment_block",
     "null_space_basis",
     "paired_alignment",
     "pseudo_inverse",
-    "rank",
     "solve_exact",
     "Carrier",
     "CodeScheme",
     "EffectiveChannel",
-    "Placement",
     "Variable",
     "effective_channel",
     "DecodeError",

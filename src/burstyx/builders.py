@@ -12,6 +12,10 @@ rest by reusing the broadcast or multiple-access code on the all-links
 slot. Multi-slot codes pair the one-cross-link topologies, with optional
 reuse of the all-links slot, and two precoders send every stream through
 all five interesting slots at once.
+
+Each builder lists its variables, each with its transmitter, receiver,
+carrier and the slots it is sent in. The list order is the column order of
+the effective channel, and so the order of the message streams.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .channel import Dimensions, TOPOLOGIES, Topology
-from .schemes import Carrier, CodeScheme, Placement, Variable
+from .schemes import Carrier, CodeScheme, Variable
 
 __all__ = [
     "build_single_topology_code",
@@ -55,22 +59,9 @@ def _pair(ch_a: int, ch_b: int, side: str, width: int) -> Carrier:
     return Carrier("pair", width, ch=ch_a, ch_b=ch_b, side=side)
 
 
-def _scheme(
-    name: str,
-    dims: Dimensions,
-    slots: Sequence[str],
-    variables: Sequence[Variable],
-    placements: Sequence[Placement],
-) -> CodeScheme:
-    """Drop zero-length variables, then validate."""
-    keep = {v.name for v in variables if v.length > 0}
-    return CodeScheme(
-        name=name,
-        dims=dims,
-        slot_topologies=tuple(slots),
-        variables=tuple(v for v in variables if v.name in keep),
-        placements=tuple(pl for pl in placements if pl.var in keep),
-    )
+def _scheme(name: str, dims: Dimensions, slots: Sequence[str], variables: Sequence[Variable]) -> CodeScheme:
+    """Drop zero-length variables; CodeScheme validates the rest."""
+    return CodeScheme(name, dims, tuple(slots), tuple(v for v in variables if v.length > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -78,28 +69,20 @@ def _scheme(
 # ---------------------------------------------------------------------------
 
 
+def _single(dims: Dimensions, topo: str, *streams) -> CodeScheme:
+    """One-slot code on topo; each stream is (name, tx, rx, carrier)."""
+    return _scheme(f"single_{topo}", dims, (topo,), [Variable(*stream, (0,)) for stream in streams])
+
+
 def _single_link(dims: Dimensions, tx: int, rx: int, topo: str) -> CodeScheme:
-    w = min(dims.m, dims.n)
-    return _scheme(
-        f"single_{topo}",
-        dims,
-        (topo,),
-        [Variable("a", w, tx, rx)],
-        [Placement(0, tx, "a", _ident(w))],
-    )
+    return _single(dims, topo, ("a", tx, rx, _ident(min(dims.m, dims.n))))
 
 
 def _mac(dims: Dimensions, rx: int, topo: str) -> CodeScheme:
     total = min(2 * dims.m, dims.n)
     wa = min(dims.m, (total + 1) // 2)
     wb = total - wa
-    return _scheme(
-        f"single_{topo}",
-        dims,
-        (topo,),
-        [Variable("a", wa, 1, rx), Variable("b", wb, 2, rx)],
-        [Placement(0, 1, "a", _ident(wa)), Placement(0, 2, "b", _ident(wb))],
-    )
+    return _single(dims, topo, ("a", 1, rx, _ident(wa)), ("b", 2, rx, _ident(wb)))
 
 
 def _bc(dims: Dimensions, tx: int, topo: str) -> CodeScheme:
@@ -110,20 +93,12 @@ def _bc(dims: Dimensions, tx: int, topo: str) -> CodeScheme:
     # to rx2; the shared part b is decoded by rx1 and projected out by rx2.
     ch_rx2 = 3 if tx == 1 else 4
     ch_rx1 = 1 if tx == 1 else 2
-    return _scheme(
-        f"single_{topo}",
+    return _single(
         dims,
-        (topo,),
-        [
-            Variable("a", side, tx, 1),
-            Variable("b", mid, tx, 1),
-            Variable("c", side, tx, 2),
-        ],
-        [
-            Placement(0, tx, "a", _null(ch_rx2, side)),
-            Placement(0, tx, "b", _ident(mid)),
-            Placement(0, tx, "c", _null(ch_rx1, side)),
-        ],
+        topo,
+        ("a", tx, 1, _null(ch_rx2, side)),
+        ("b", tx, 1, _ident(mid)),
+        ("c", tx, 2, _null(ch_rx1, side)),
     )
 
 
@@ -131,20 +106,14 @@ def _par(dims: Dimensions, direct: bool, topo: str) -> CodeScheme:
     w = min(dims.m, dims.n)
     rx_of_tx1 = 1 if direct else 2
     rx_of_tx2 = 2 if direct else 1
-    return _scheme(
-        f"single_{topo}",
-        dims,
-        (topo,),
-        [Variable("a", w, 1, rx_of_tx1), Variable("b", w, 2, rx_of_tx2)],
-        [Placement(0, 1, "a", _ident(w)), Placement(0, 2, "b", _ident(w))],
-    )
+    return _single(dims, topo, ("a", 1, rx_of_tx1, _ident(w)), ("b", 2, rx_of_tx2, _ident(w)))
 
 
-# For each one-off-link topology: (off link, solo rx, solo tx, null channel).
-# The receiver at the far end of the off link sees a single transmitter and
-# takes a full load; the other transmitter hides behind a null space.
+# For each one-off-link topology: (rx seeing both tx, rx seeing one tx, tx
+# seen by the solo rx). The receiver at the far end of the off link sees a
+# single transmitter and takes a full load; the other transmitter hides
+# behind a null space.
 _Z_TABLE = {
-    # topo: (rx seeing both tx, rx seeing one tx, tx seen by the solo rx)
     "z1": (1, 2, 2),
     "z2": (2, 1, 2),
     "z3": (2, 1, 1),
@@ -163,29 +132,14 @@ def _z_single(dims: Dimensions, topo: str) -> CodeScheme:
         # clear streams; the shared transmitter squeezes min(m - n, n) more to
         # its solo receiver behind the null space of its link to the other one
         other_tx = 2 if solo_tx == 1 else 1
-        w_extra = min(m - n, n)
-        return _scheme(
-            f"single_{topo}",
+        return _single(
             dims,
-            (topo,),
-            [
-                Variable("a", n, other_tx, both_rx),
-                Variable("u", w_extra, solo_tx, solo_rx),
-            ],
-            [
-                Placement(0, other_tx, "a", _ident(n)),
-                Placement(0, solo_tx, "u", _null(_Z_NULL[topo], w_extra)),
-            ],
+            topo,
+            ("a", other_tx, both_rx, _ident(n)),
+            ("u", solo_tx, solo_rx, _null(_Z_NULL[topo], min(m - n, n))),
         )
     # m < n: the two-link receiver decodes a joint load min(2m, n).
-    w2 = min(m, n - m)
-    return _scheme(
-        f"single_{topo}",
-        dims,
-        (topo,),
-        [Variable("g", m, 1, both_rx), Variable("h", w2, 2, both_rx)],
-        [Placement(0, 1, "g", _ident(m)), Placement(0, 2, "h", _ident(w2))],
-    )
+    return _single(dims, topo, ("g", 1, both_rx, _ident(m)), ("h", 2, both_rx, _ident(min(m, n - m))))
 
 
 def _full(dims: Dimensions) -> CodeScheme:
@@ -194,70 +148,41 @@ def _full(dims: Dimensions) -> CodeScheme:
         # both transmitters zero-force both ways; each receiver sees only its
         # own n streams split across the two transmitters
         hi, lo = (n + 1) // 2, n // 2
-        return _scheme(
-            "single_f",
+        return _single(
             dims,
-            ("f",),
-            [
-                Variable("s1", hi, 1, 1),
-                Variable("s2", lo, 2, 1),
-                Variable("t1", lo, 1, 2),
-                Variable("t2", hi, 2, 2),
-            ],
-            [
-                Placement(0, 1, "s1", _null(3, hi)),
-                Placement(0, 2, "s2", _null(4, lo)),
-                Placement(0, 1, "t1", _null(1, lo)),
-                Placement(0, 2, "t2", _null(2, hi)),
-            ],
+            "f",
+            ("s1", 1, 1, _null(3, hi)),
+            ("s2", 2, 1, _null(4, lo)),
+            ("t1", 1, 2, _null(1, lo)),
+            ("t2", 2, 2, _null(2, hi)),
         )
     if m < n and 3 * m <= 2 * n:
         # tall orientation: alignment pairs collapse the cross traffic into
         # shared receive directions, identity fills the rest
         k = max(2 * m - n, 0)
         w = m - 2 * k
-        return _scheme(
-            "single_f",
+        return _single(
             dims,
-            ("f",),
-            [
-                Variable("u", k, 1, 2),
-                Variable("uu", k, 2, 2),
-                Variable("v", k, 1, 1),
-                Variable("vv", k, 2, 1),
-                Variable("x1", w, 1, 1),
-                Variable("x2", w, 2, 1),
-            ],
-            [
-                Placement(0, 1, "u", _pair(1, 2, "a", k)),
-                Placement(0, 2, "uu", _pair(1, 2, "b", k)),
-                Placement(0, 1, "v", _pair(3, 4, "a", k)),
-                Placement(0, 2, "vv", _pair(3, 4, "b", k)),
-                Placement(0, 1, "x1", _ident(w)),
-                Placement(0, 2, "x2", _ident(w)),
-            ],
+            "f",
+            ("u", 1, 2, _pair(1, 2, "a", k)),
+            ("uu", 2, 2, _pair(1, 2, "b", k)),
+            ("v", 1, 1, _pair(3, 4, "a", k)),
+            ("vv", 2, 1, _pair(3, 4, "b", k)),
+            ("x1", 1, 1, _ident(w)),
+            ("x2", 2, 1, _ident(w)),
         )
     if m == n and m % 3 == 0:
         # equal antennas divisible by three: each transmitter splits between
         # the two receivers, and each receiver sees the two foreign streams
         # aligned into one third of its space
         w = m // 3
-        return _scheme(
-            "single_f",
+        return _single(
             dims,
-            ("f",),
-            [
-                Variable("w11", w, 1, 1),
-                Variable("w21", w, 1, 2),
-                Variable("w12", w, 2, 1),
-                Variable("w22", w, 2, 2),
-            ],
-            [
-                Placement(0, 1, "w11", _pinv(3, w)),
-                Placement(0, 1, "w21", _pinv(1, w)),
-                Placement(0, 2, "w12", _pinv(4, w)),
-                Placement(0, 2, "w22", _pinv(2, w)),
-            ],
+            "f",
+            ("w11", 1, 1, _pinv(3, w)),
+            ("w21", 1, 2, _pinv(1, w)),
+            ("w12", 2, 1, _pinv(4, w)),
+            ("w22", 2, 2, _pinv(2, w)),
         )
     raise ValueError(
         "standalone all-links code needs min/max at most 2/3 "
@@ -297,7 +222,7 @@ def build_single_topology_code(
     if name not in TOPOLOGIES:
         raise ValueError(f"unknown topology {name!r}")
     if name == "empty":
-        return _scheme("single_empty", dims, ("empty",), [], [])
+        return _single(dims, name)
     if name == "s11":
         return _single_link(dims, 1, 1, name)
     if name == "s12":
@@ -351,43 +276,21 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
         load_tx, help_tx = 2, 1
         null_first, null_second = 3, 1  # hide b from rx2 in z3, e from rx2 in z4
         first_solo_rx, second_solo_rx = 1, 2
-    load_rx_first = 2 if first_solo_rx == 2 else 1
 
+    lo, hi = min(m, n), max(m, n)
+    wb, wc = hi - lo, 2 * lo - hi
     if m >= n:
-        wb, wc = m - n, 2 * n - m
-        variables = [
-            Variable("a", n, load_tx, 3 - first_solo_rx),
-            Variable("b", wb, help_tx, first_solo_rx),
-            Variable("c", wc, help_tx, first_solo_rx),
-            Variable("d", n, load_tx, first_solo_rx),
-            Variable("e", wb, help_tx, second_solo_rx),
-        ]
-        placements = [
-            Placement(0, load_tx, "a", _ident(n)),
-            Placement(0, help_tx, "b", _null(null_first, wb)),
-            Placement(0, help_tx, "c", _ident(wc)),
-            Placement(1, load_tx, "d", _ident(n)),
-            Placement(1, help_tx, "e", _null(null_second, wb)),
-            Placement(1, help_tx, "c", _ident(wc)),
-        ]
+        car_b, car_c, car_e = _null(null_first, wb), _ident(wc), _null(null_second, wb)
     else:
-        wb, wc = n - m, 2 * m - n
-        variables = [
-            Variable("a", m, load_tx, 3 - first_solo_rx),
-            Variable("b", wb, help_tx, first_solo_rx),
-            Variable("c", wc, help_tx, first_solo_rx),
-            Variable("d", m, load_tx, first_solo_rx),
-            Variable("e", wb, help_tx, second_solo_rx),
-        ]
-        placements = [
-            Placement(0, load_tx, "a", _ident(m)),
-            Placement(0, help_tx, "b", _ident(wb)),
-            Placement(0, help_tx, "c", _ident(wc, start=wb)),
-            Placement(1, load_tx, "d", _ident(m)),
-            Placement(1, help_tx, "e", _ident(wb)),
-            Placement(1, help_tx, "c", _ident(wc, start=wb)),
-        ]
-    return _scheme(f"pair_{pair}", dims, slots, variables, placements)
+        car_b, car_c, car_e = _ident(wb), _ident(wc, start=wb), _ident(wb)
+    variables = [
+        Variable("a", load_tx, 3 - first_solo_rx, _ident(lo), (0,)),
+        Variable("b", help_tx, first_solo_rx, car_b, (0,)),
+        Variable("c", help_tx, first_solo_rx, car_c, (0, 1)),
+        Variable("d", load_tx, first_solo_rx, _ident(lo), (1,)),
+        Variable("e", help_tx, second_solo_rx, car_e, (1,)),
+    ]
+    return _scheme(f"pair_{pair}", dims, slots, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -415,58 +318,31 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
         car_g, car_n = _null(3, wp), _null(2, wp)
         car_e, car_f = _null(3, wp), _null(1, wp)
         car_l, car_m = _null(2, wp), _null(4, wp)
-        w_load = n
-        load = _ident(n)
     else:
         wc, wp = 2 * m - n, n - m
         car_c, car_j = _pair(1, 2, "a", wc), _pair(1, 2, "b", wc)
         car_d, car_k = _pair(3, 4, "a", wc), _pair(3, 4, "b", wc)
         car_g = car_e = car_f = _ident(wp)
         car_n = car_l = car_m = _ident(wp)
-        w_load = m
-        load = _ident(m)
+    load = _ident(min(m, n))
 
     variables = [
-        Variable("a", w_load, 1, 1),
-        Variable("b", w_load, 1, 2),
-        Variable("c", wc, 1, 2),
-        Variable("d", wc, 1, 1),
-        Variable("e", wp, 1, 1),
-        Variable("f", wp, 1, 2),
-        Variable("g", wp, 1, 1),
-        Variable("h", w_load, 2, 2),
-        Variable("i", w_load, 2, 1),
-        Variable("j", wc, 2, 2),
-        Variable("k", wc, 2, 1),
-        Variable("l", wp, 2, 2),
-        Variable("m", wp, 2, 1),
-        Variable("n", wp, 2, 2),
+        Variable("a", 1, 1, load, (0,)),
+        Variable("b", 1, 2, load, (1,)),
+        Variable("c", 1, 2, car_c, (0, 3, 4)),
+        Variable("d", 1, 1, car_d, (1, 2, 4)),
+        Variable("e", 1, 1, car_e, (2,)),
+        Variable("f", 1, 2, car_f, (3,)),
+        Variable("g", 1, 1, car_g, (4,)),
+        Variable("h", 2, 2, load, (2,)),
+        Variable("i", 2, 1, load, (3,)),
+        Variable("j", 2, 2, car_j, (0, 3, 4)),
+        Variable("k", 2, 1, car_k, (1, 2, 4)),
+        Variable("l", 2, 2, car_l, (0,)),
+        Variable("m", 2, 1, car_m, (1,)),
+        Variable("n", 2, 2, car_n, (4,)),
     ]
-    placements = [
-        Placement(0, 1, "a", load),
-        Placement(0, 1, "c", car_c),
-        Placement(0, 2, "j", car_j),
-        Placement(0, 2, "l", car_l),
-        Placement(1, 1, "b", load),
-        Placement(1, 1, "d", car_d),
-        Placement(1, 2, "k", car_k),
-        Placement(1, 2, "m", car_m),
-        Placement(2, 1, "d", car_d),
-        Placement(2, 1, "e", car_e),
-        Placement(2, 2, "h", load),
-        Placement(2, 2, "k", car_k),
-        Placement(3, 1, "c", car_c),
-        Placement(3, 1, "f", car_f),
-        Placement(3, 2, "i", load),
-        Placement(3, 2, "j", car_j),
-        Placement(4, 1, "c", car_c),
-        Placement(4, 1, "d", car_d),
-        Placement(4, 1, "g", car_g),
-        Placement(4, 2, "j", car_j),
-        Placement(4, 2, "k", car_k),
-        Placement(4, 2, "n", car_n),
-    ]
-    return _scheme("zf_block", dims, slots, variables, placements)
+    return _scheme("zf_block", dims, slots, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +361,16 @@ _IA_PATTERN = {
 }
 
 
+def _ia_streams():
+    """(stream, tx, slots) for each stream of _IA_PATTERN, in order of first appearance."""
+    found = {}
+    for slot, per_tx in _IA_PATTERN.items():
+        for tx, streams in enumerate(per_tx, start=1):
+            for stream in streams:
+                found.setdefault(stream, (tx, []))[1].append(slot)
+    return [(stream, tx, tuple(slots)) for stream, (tx, slots) in found.items()]
+
+
 @lru_cache(maxsize=_SHAPE_CACHE)
 def build_block_ia_precoder(dims: Dimensions) -> CodeScheme:
     """Fixed per-stream precoders over five slots; 8 min(m, n) symbols.
@@ -499,33 +385,21 @@ def build_block_ia_precoder(dims: Dimensions) -> CodeScheme:
         raise ValueError("block precoder expects m >= n; swap roles for tall shapes")
     if 2 * n <= m:
         raise ValueError("block precoder needs min/max antenna ratio above 1/2")
-    carriers = {
-        "u11": _ident(n),
-        "u12": _pinv(1, n),
-        "u13": _ident(n),
-        "u14": _pinv(3, n),
-        "u21": _ident(n),
-        "u22": _pinv(2, n),
-        "u23": _ident(n),
-        "u24": _pinv(4, n),
+    rx_and_carrier = {
+        "u11": (2, _ident(n)),
+        "u12": (2, _pinv(1, n)),
+        "u13": (1, _ident(n)),
+        "u14": (1, _pinv(3, n)),
+        "u21": (2, _ident(n)),
+        "u22": (2, _pinv(2, n)),
+        "u23": (1, _ident(n)),
+        "u24": (1, _pinv(4, n)),
     }
+    # columns in stream-name order
     variables = [
-        Variable("u11", n, 1, 2),
-        Variable("u12", n, 1, 2),
-        Variable("u13", n, 1, 1),
-        Variable("u14", n, 1, 1),
-        Variable("u21", n, 2, 2),
-        Variable("u22", n, 2, 2),
-        Variable("u23", n, 2, 1),
-        Variable("u24", n, 2, 1),
+        Variable(stream, tx, *rx_and_carrier[stream], slots) for stream, tx, slots in sorted(_ia_streams())
     ]
-    placements = [
-        Placement(slot, tx, var, carriers[var])
-        for slot, (tx1_vars, tx2_vars) in _IA_PATTERN.items()
-        for tx, var_list in ((1, tx1_vars), (2, tx2_vars))
-        for var in var_list
-    ]
-    return _scheme("ia_block", dims, _IA_SLOTS, variables, placements)
+    return _scheme("ia_block", dims, _IA_SLOTS, variables)
 
 
 @lru_cache(maxsize=_SHAPE_CACHE)
@@ -543,32 +417,23 @@ def build_refined_ia_precoder(dims: Dimensions) -> CodeScheme:
     if 3 * n <= 2 * m:
         raise ValueError("refined precoder needs min/max antenna ratio above 2/3")
     wc, wp = 2 * n - m, m - n
+    # stream: its parts as (name, rx, carrier); columns follow each stream's
+    # first appearance in _IA_PATTERN, then its parts in this order
     split = {
         # u12 sends to rx2 while aligned at rx1; its private parts hide from
         # rx1 (null 1) and from rx2 (null 3). u14 is the mirror toward rx1.
-        "u12": (("u12a", _pinv(1, wc), wc), ("u12p1", _null(1, wp), wp), ("u12p3", _null(3, wp), wp)),
-        "u14": (("u14a", _pinv(3, wc), wc), ("u14p3", _null(3, wp), wp)),
-        "u22": (("u22a", _pinv(2, wc), wc), ("u22p2", _null(2, wp), wp)),
-        "u24": (("u24a", _pinv(4, wc), wc), ("u24p4", _null(4, wp), wp), ("u24p2", _null(2, wp), wp)),
-        "u11": (("u11", _ident(n), n),),
-        "u13": (("u13", _ident(n), n),),
-        "u21": (("u21", _ident(n), n),),
-        "u23": (("u23", _ident(n), n),),
+        "u12": (("u12a", 2, _pinv(1, wc)), ("u12p1", 2, _null(1, wp)), ("u12p3", 1, _null(3, wp))),
+        "u14": (("u14a", 1, _pinv(3, wc)), ("u14p3", 1, _null(3, wp))),
+        "u22": (("u22a", 2, _pinv(2, wc)), ("u22p2", 2, _null(2, wp))),
+        "u24": (("u24a", 1, _pinv(4, wc)), ("u24p4", 1, _null(4, wp)), ("u24p2", 2, _null(2, wp))),
+        "u11": (("u11", 2, _ident(n)),),
+        "u13": (("u13", 1, _ident(n)),),
+        "u21": (("u21", 2, _ident(n)),),
+        "u23": (("u23", 1, _ident(n)),),
     }
-    rx_of = {
-        "u11": 2, "u12a": 2, "u12p1": 2, "u12p3": 1, "u13": 1,
-        "u14a": 1, "u14p3": 1, "u21": 2, "u22a": 2, "u22p2": 2,
-        "u23": 1, "u24a": 1, "u24p4": 1, "u24p2": 2,
-    }
-    variables = []
-    placements = []
-    seen = set()
-    for slot, (tx1_vars, tx2_vars) in _IA_PATTERN.items():
-        for tx, var_list in ((1, tx1_vars), (2, tx2_vars)):
-            for stream in var_list:
-                for name, carrier, width in split[stream]:
-                    if name not in seen:
-                        seen.add(name)
-                        variables.append(Variable(name, width, tx, rx_of[name]))
-                    placements.append(Placement(slot, tx, name, carrier))
-    return _scheme("ia_refined", dims, _IA_SLOTS, variables, placements)
+    variables = [
+        Variable(name, tx, rx, carrier, slots)
+        for stream, tx, slots in _ia_streams()
+        for name, rx, carrier in split[stream]
+    ]
+    return _scheme("ia_refined", dims, _IA_SLOTS, variables)

@@ -32,7 +32,7 @@ Link ``ji`` means transmitter ``i`` -> receiver ``j``; its matrix is ``h<j><i>``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -43,10 +43,8 @@ __all__ = [
     "TOPOLOGY_BY_INDEX",
     "ChannelSet",
     "topology_probability",
-    "topology_distribution",
     "sample_topology_indices",
     "sample_topology_counts",
-    "count_topologies",
     "sample_channels",
 ]
 
@@ -66,11 +64,6 @@ class Dimensions:
             raise ValueError("m must be a positive integer")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError("n must be a positive integer")
-
-    @property
-    def r(self) -> float:
-        """Antenna ratio min(m, n) / max(m, n), in (0, 1]."""
-        return min(self.m, self.n) / max(self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -138,11 +131,6 @@ def topology_probability(t: Topology, p: float) -> float:
     return float(p) ** k * (1.0 - float(p)) ** (4 - k)
 
 
-def topology_distribution(p: float) -> Dict[Topology, float]:
-    """All 16 topology probabilities; they sum to 1."""
-    return {t: topology_probability(t, p) for t in TOPOLOGY_BY_INDEX}
-
-
 _SAMPLE_CHUNK = 16_384  # slots per draw in sample_topology_indices
 
 
@@ -179,27 +167,14 @@ def sample_topology_counts(
 
     The four links are independent Bernoulli(p) in every slot, so the
     counts of an n-slot window are exactly Multinomial(n, p^k (1-p)^(4-k)):
-    the law of count_topologies(sample_topology_indices(p, n, seed)), drawn
-    with one Philox multinomial call whatever n is. Returns the same keys,
-    in the same order, as count_topologies.
+    the law of the histogram of sample_topology_indices(p, n, seed), drawn
+    with one Philox multinomial call whatever n is. Every topology is a
+    key, in TOPOLOGY_BY_INDEX order.
     """
     _check_window(p, n)
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, [topology_probability(t, p) for t in TOPOLOGY_BY_INDEX])
     return {t: int(c) for t, c in zip(TOPOLOGY_BY_INDEX, counts)}
-
-
-def count_topologies(
-    seq: Union[np.ndarray, Sequence[Topology], Iterable[Topology]],
-) -> Dict[Topology, int]:
-    """Histogram of a slot sequence; every topology appears as a key."""
-    if isinstance(seq, np.ndarray):
-        counts = np.bincount(seq.astype(np.int64), minlength=16)
-    else:
-        counts = np.zeros(16, dtype=np.int64)
-        for t in seq:
-            counts[t.index] += 1
-    return {t: int(counts[t.index]) for t in TOPOLOGY_BY_INDEX}
 
 
 class ChannelSet:

@@ -7,10 +7,11 @@ Subcommands:
   simulate  schedule and spot-decode a sampled window of slots
 
 Antenna counts (verify --shapes, simulate --m/--n) are at most 64 per side,
-which keeps a channel draw's memory bounded.
+which keeps a channel draw's memory bounded. verify takes at most 100,000
+--seeds and 1,000 --trials, which bounds its run time.
 
 Exit codes: 0 on success, 1 when a verification or simulation check fails,
-2 on usage errors, such as an antenna count above that ceiling. When the
+2 on usage errors, such as a value above one of those ceilings. When the
 reader of stdout goes away early (``burstyx verify | head -2``), the command
 stops writing and exits 1 without a traceback, since its output is
 incomplete.
@@ -53,6 +54,8 @@ _SERIES: Dict[str, Callable[[float, float], float]] = {
 
 _CONSTRUCTIONS = ("z12", "z34", "zf", "ia_block", "ia_refined")
 _MAX_ANTENNAS = 64
+_MAX_SEEDS = 100_000
+_MAX_TRIALS = 1_000
 
 
 def _fmt(value: float) -> str:
@@ -158,10 +161,10 @@ def _build_construction(label: str, dims: Dimensions):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.seeds < 1:
-        raise SystemExit("--seeds must be at least 1")
-    if args.trials < 1:
-        raise SystemExit("--trials must be at least 1")
+    if not 1 <= args.seeds <= _MAX_SEEDS:
+        raise SystemExit(f"--seeds must lie in [1, {_MAX_SEEDS}]")
+    if not 1 <= args.trials <= _MAX_TRIALS:
+        raise SystemExit(f"--trials must lie in [1, {_MAX_TRIALS}]")
     labels = [c.strip() for c in args.constructions.split(",") if c.strip()]
     expanded: List[str] = []
     for label in labels:
@@ -288,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="z12,z34,zf,ia_block,ia_refined,singles",
         help=f"comma-separated from {_CONSTRUCTIONS + ('singles', 'single:<topology>')}",
     )
-    v.add_argument("--seeds", type=int, default=3, help="channel draws per case")
-    v.add_argument("--trials", type=int, default=2, help="message draws per channel")
+    v.add_argument("--seeds", type=int, default=3, help=f"channel draws per case, at most {_MAX_SEEDS}")
+    v.add_argument("--trials", type=int, default=2, help=f"message draws per channel, at most {_MAX_TRIALS}")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=_cmd_verify)
 

@@ -12,10 +12,12 @@ receiver and memoized in eff.receivers, read-only (see _receiver):
 - scale = max(1, ||rows||_F). Interference columns of norm at most
   STRUCT_TOL * scale (links that are off, or zero-forced) are dropped;
   the left singular vectors of the rest with singular value above
-  STRUCT_TOL * scale span the interference. The cutoff is absolute: the
-  scale-relative ``rank`` would count a zero-forced block (about 1e-16)
-  as full rank. The largest dropped norm or discarded singular value,
-  over scale, is the null residual.
+  STRUCT_TOL * scale span the interference. The cutoff is absolute, set
+  by the rows' norm: a cutoff relative to the largest singular value of
+  the block itself, such as linalg's max(rows, cols) * 1e-12 * s_max,
+  would count a zero-forced block (about 1e-16) as full rank. The largest
+  dropped norm or discarded singular value, over scale, is the null
+  residual.
 - A_j = H_D - U_r (U_r^T H_D), the desired columns with the interference
   projected out, is factored once by solve_exact. Its smallest singular
   value over scale is the receiver's separation; at or below STRUCT_TOL

@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels at desk dimensions.
 
-Numerical rank, null-space bases, pseudo-inverses, alignment blocks, and
+Null-space bases, pseudo-inverses, alignment blocks, and
 exact linear solves. These are the building blocks every precoder in this
 package is assembled from. All routines are SVD based and use tolerances
 relative to the largest singular value, so they are scale invariant.
@@ -18,7 +18,6 @@ from typing import Callable, Tuple
 import numpy as np
 
 __all__ = [
-    "rank",
     "null_space_basis",
     "pseudo_inverse",
     "alignment_block",
@@ -38,15 +37,6 @@ def _as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def rank(a, eps: float = DEFAULT_EPS) -> int:
-    """Numerical rank: singular values above max(shape) * eps * s_max."""
-    a = _as_matrix(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > max(a.shape) * eps * s[0]))
 
 
 def null_space_basis(h) -> np.ndarray:
@@ -122,10 +112,11 @@ def paired_alignment(h_a, h_b) -> Tuple[np.ndarray, np.ndarray]:
 def solve_exact(a) -> Tuple[Callable[..., np.ndarray], np.ndarray]:
     """Factor a full-column-rank a once; return (solve, singular values).
 
-    One thin SVD of a gives the rank test (the cutoff of ``rank``), the
-    singular values returned with the solver, and the pseudo-inverse that
-    every later solve reuses. Raises ValueError("underdetermined") on
-    column-rank deficiency, which means a broken construction.
+    One thin SVD of a gives the rank test, the singular values returned
+    with the solver, and the pseudo-inverse that every later solve reuses.
+    Raises ValueError("underdetermined") on column-rank deficiency: a
+    smallest singular value at most max(rows, cols) * 1e-12 * s_max, which
+    means a broken construction.
 
     solve(y, rel_tol=1e-6) solves a @ x = y for one right-hand side
     (rows,) or a batch (rows, B) at once, then verifies each column's

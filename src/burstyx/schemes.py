@@ -8,12 +8,12 @@ concrete channel draw:
 
 - Carrier: a symbolic precoder block (identity slice, pseudo-inverse slice,
   null-space basis, or tall-orientation alignment pair).
-- Variable: a named message vector with a length, an owning transmitter and
-  an intended receiver.
-- Placement: variable v rides carrier C from transmitter t in slot s.
-- CodeScheme: the whole bundle.
+- Variable: a named message stream that one transmitter sends to one
+  receiver on one carrier, in every slot it uses; its length is the
+  carrier's width.
+- CodeScheme: the slot topologies and the variables.
 - EffectiveChannel: the stacked receive matrix for one channel draw, with
-  (receiver, slot) row blocks and per-variable column blocks.
+  one block row per (receiver, slot) and per-variable column blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .linalg import alignment_block, null_space_basis, paired_alignment, pseudo_
 __all__ = [
     "Carrier",
     "Variable",
-    "Placement",
     "CodeScheme",
     "EffectiveChannel",
     "effective_channel",
@@ -115,26 +114,24 @@ class Carrier:
             raise ValueError(f"{self.kind} slice exceeds available columns")
         return basis[:, self.start : self.start + self.width]
 
+
 @dataclass(frozen=True)
 class Variable:
+    """Stream ``name`` from transmitter tx to receiver rx, on ``carrier`` in each of ``slots``."""
+
     name: str
-    length: int
     tx: int
     rx: int
+    carrier: Carrier
+    slots: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("variable length must be non-negative")
         if self.tx not in (1, 2) or self.rx not in (1, 2):
             raise ValueError("tx and rx must be 1 or 2")
 
-
-@dataclass(frozen=True)
-class Placement:
-    slot: int
-    tx: int
-    var: str
-    carrier: Carrier
+    @property
+    def length(self) -> int:
+        return self.carrier.width
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,6 @@ class CodeScheme:
     dims: Dimensions
     slot_topologies: Tuple[str, ...]
     variables: Tuple[Variable, ...]
-    placements: Tuple[Placement, ...]
 
     def __post_init__(self):
         self.validate()
@@ -183,26 +179,15 @@ class CodeScheme:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        by_name = {v.name: v for v in self.variables}
         for t in self.slot_topologies:
             if t not in TOPOLOGIES:
                 raise ValueError(f"unknown topology {t!r}")
-        for pl in self.placements:
-            if not 0 <= pl.slot < self.n_slots:
-                raise ValueError("placement references a missing slot")
-            v = by_name.get(pl.var)
-            if v is None:
-                raise ValueError(f"placement references unknown variable {pl.var!r}")
-            if v.tx != pl.tx:
-                raise ValueError(f"variable {pl.var!r} placed at the wrong transmitter")
-            if pl.carrier.width != v.length:
-                raise ValueError(f"carrier width mismatch for {pl.var!r}")
-        placed = {pl.var for pl in self.placements}
         for v in self.variables:
             if v.length == 0:
                 raise ValueError(f"variable {v.name!r} has zero length")
-            if v.name not in placed:
-                raise ValueError(f"variable {v.name!r} never placed")
+            slots = set(v.slots)
+            if not slots or len(slots) < len(v.slots) or not slots <= set(range(self.n_slots)):
+                raise ValueError(f"variable {v.name!r} needs distinct slots below {self.n_slots}, not {v.slots!r}")
 
 
 @dataclass
@@ -210,8 +195,10 @@ class EffectiveChannel:
     """Stacked noise-free receive matrix for a scheme on one channel draw.
 
     matrix has one block row per (receiver, slot) pair, receiver-major, each
-    of height N, and one block column per variable. Rows belonging to a slot
-    where the corresponding cross link is off are zero by construction.
+    of height N, so the rows of (rx, slot) start at
+    ((rx - 1) * n_slots + slot) * N; and one block column per variable. A
+    variable's block is zero in the slots it is not sent in and wherever
+    its link is off.
     matrix is read-only, so ``receivers``, where decode memoizes each
     receiver's projection and factorization, can never go stale.
     receiver_columns is the scheme's (see CodeScheme.receiver_columns).
@@ -219,13 +206,9 @@ class EffectiveChannel:
 
     matrix: np.ndarray
     var_order: Tuple[str, ...]
-    row_blocks: Dict[Tuple[int, int], slice] = field(repr=False, default_factory=dict)
     col_blocks: Dict[str, slice] = field(repr=False, default_factory=dict)
     receiver_columns: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(repr=False, default_factory=dict)
     receivers: Dict[int, object] = field(repr=False, default_factory=dict)
-
-    def block(self, rx: int, slot: int, var: str) -> np.ndarray:
-        return self.matrix[self.row_blocks[(rx, slot)], self.col_blocks[var]]
 
     def concat(self, x: Dict[str, np.ndarray]) -> np.ndarray:
         """Stack per-variable values, (length,) or (length, B), in column order."""
@@ -249,29 +232,24 @@ def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChan
         col_blocks[v.name] = slice(off, off + v.length)
         off += v.length
     matrix = np.zeros((2 * s_count * n, off))
-    row_blocks: Dict[Tuple[int, int], slice] = {}
-    for rx in (1, 2):
-        for slot in range(s_count):
-            r0 = ((rx - 1) * s_count + slot) * n
-            row_blocks[(rx, slot)] = slice(r0, r0 + n)
 
     cache: Dict[Carrier, np.ndarray] = {}
-    for pl in scheme.placements:
-        if pl.carrier not in cache:
-            cache[pl.carrier] = pl.carrier.materialize(channels)
-        block = cache[pl.carrier]
-        topo = scheme.topology(pl.slot)
-        cols = col_blocks[pl.var]
-        for rx in (1, 2):
-            if topo.link(rx, pl.tx):
-                r0 = ((rx - 1) * s_count + pl.slot) * n
-                matrix[r0 : r0 + n, cols] += channels.link_matrix(rx, pl.tx) @ block
+    for v in scheme.variables:
+        if v.carrier not in cache:
+            cache[v.carrier] = v.carrier.materialize(channels)
+        block = cache[v.carrier]
+        cols = col_blocks[v.name]
+        for slot in v.slots:
+            topo = scheme.topology(slot)
+            for rx in (1, 2):
+                if topo.link(rx, v.tx):
+                    r0 = ((rx - 1) * s_count + slot) * n
+                    matrix[r0 : r0 + n, cols] = channels.link_matrix(rx, v.tx) @ block
     matrix.setflags(write=False)
 
     return EffectiveChannel(
         matrix=matrix,
         var_order=var_order,
-        row_blocks=row_blocks,
         col_blocks=col_blocks,
         receiver_columns=scheme.receiver_columns,
     )

@@ -158,6 +158,23 @@ def test_monte_carlo_tracks_composite_rate(shape, p):
     )
 
 
+def _every_construction(dims):
+    """Every builder's code at dims, skipping the ones infeasible there."""
+    builds = [
+        bx.build_f_fallback,
+        lambda d: bx.build_z_pair_code(d, "z12"),
+        lambda d: bx.build_z_pair_code(d, "z34"),
+        bx.build_zf_code,
+        bx.build_block_ia_precoder,
+        bx.build_refined_ia_precoder,
+    ] + [lambda d, name=name: bx.build_single_topology_code(name, d) for name in sorted(bx.TOPOLOGIES)]
+    for build in builds:
+        try:
+            yield build(dims)
+        except ValueError:
+            continue
+
+
 def test_structural_property_suite_100_seeds():
     """Nulling, alignment, zero patterns, probabilities, and duality."""
     dims = bx.Dimensions(4, 3)
@@ -190,22 +207,28 @@ def test_structural_property_suite_100_seeds():
     assert worst_align < 1e-10
     assert min_separation > 1e-7  # two orders above the 1e-9 gate
 
-    # zero-pattern fidelity: silent variables and dead links give exact zeros
-    ch = bx.sample_channels(dims, 0)
-    for scheme in (bx.build_block_ia_precoder(dims), bx.build_refined_ia_precoder(dims)):
-        eff = bx.effective_channel(ch, scheme)
-        placed = {(pl.slot, pl.var) for pl in scheme.placements}
-        for rx in (1, 2):
-            for slot, topo_name in enumerate(scheme.slot_topologies):
-                topo = bx.TOPOLOGIES[topo_name]
-                for v in scheme.variables:
-                    block = eff.block(rx, slot, v.name)
-                    if (slot, v.name) not in placed or not topo.link(rx, v.tx):
-                        assert np.all(block == 0.0), (scheme.name, rx, slot, v.name)
+    # zero-pattern fidelity: silent variables and dead links give exact
+    # zeros. The rows of (rx, slot) start at ((rx - 1) * n_slots + slot) * N.
+    zero_checked = set()
+    for shape in [(4, 3), (3, 4), (3, 3), (24, 18)]:
+        zdims = bx.Dimensions(*shape)
+        ch = bx.sample_channels(zdims, 0)
+        for scheme in _every_construction(zdims):
+            zero_checked.add(scheme.name)
+            eff = bx.effective_channel(ch, scheme)
+            for rx in (1, 2):
+                for slot, topo_name in enumerate(scheme.slot_topologies):
+                    r0 = ((rx - 1) * scheme.n_slots + slot) * zdims.n
+                    for v in scheme.variables:
+                        block = eff.matrix[r0 : r0 + zdims.n, eff.col_blocks[v.name]]
+                        if slot not in v.slots or not bx.TOPOLOGIES[topo_name].link(rx, v.tx):
+                            assert np.all(block == 0.0), (scheme.name, shape, rx, slot, v.name)
+    assert {"ia_block", "ia_refined", "zf_block", "pair_z12", "pair_z34", "f_fallback"} <= zero_checked
 
     # probability normalization across the grid
     for p in P_GRID:
-        assert abs(sum(bx.topology_distribution(p).values()) - 1.0) < 1e-12
+        total = sum(bx.topology_probability(t, p) for t in bx.TOPOLOGY_BY_INDEX)
+        assert abs(total - 1.0) < 1e-12
 
     # orientation duality: swapping the antenna counts changes nothing
     for p in P_GRID:

@@ -144,6 +144,32 @@ def test_verify_rejects_nonpositive_counts(capsys):
         assert "all ok" not in captured.out
 
 
+def test_verify_rejects_counts_above_the_ceilings(capsys, monkeypatch):
+    import burstyx.cli
+
+    drawn = []
+
+    def stub(dims, seed):
+        drawn.append(seed)
+        raise RuntimeError("stub")
+
+    monkeypatch.setattr(burstyx.cli, "sample_channels", stub)
+    base = ["verify", "--shapes", "4x3", "--constructions", "z12"]
+    for flag, value, message in (
+        ("--seeds", "100001", "--seeds must lie in [1, 100000]"),
+        ("--seeds", str(10**12), "--seeds must lie in [1, 100000]"),
+        ("--trials", "1001", "--trials must lie in [1, 1000]"),
+        ("--trials", str(10**12), "--trials must lie in [1, 1000]"),
+    ):
+        assert main(base + [flag, value]) == 2
+        assert message in capsys.readouterr().err
+    assert drawn == []
+    # the ceilings themselves pass the check: the first draw is reached
+    with pytest.raises(RuntimeError, match="stub"):
+        main(base + ["--seeds", "100000", "--trials", "1000"])
+    assert drawn == [0]
+
+
 def test_verify_rejects_malformed_shape():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--shapes", "4y3"])

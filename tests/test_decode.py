@@ -8,7 +8,7 @@ import pytest
 import burstyx as bx
 import burstyx.decode
 from burstyx.decode import STRUCT_TOL
-from burstyx.schemes import Carrier, CodeScheme, Placement, Variable
+from burstyx.schemes import Carrier, CodeScheme, Variable
 
 
 def _verify(scheme, m, n, seed=0, trials=2):
@@ -145,10 +145,9 @@ def test_rank_deficient_step_fails_cleanly():
         "collide",
         dims,
         ("f",),
-        (Variable("u", 1, 1, 1), Variable("v", 1, 1, 1)),
         (
-            Placement(0, 1, "u", Carrier("I-slice", 1)),
-            Placement(0, 1, "v", Carrier("I-slice", 1)),
+            Variable("u", 1, 1, Carrier("I-slice", 1), (0,)),
+            Variable("v", 1, 1, Carrier("I-slice", 1), (0,)),
         ),
     )
     res = _verify(scheme, 2, 2)
@@ -164,10 +163,9 @@ def test_unaccounted_interference_is_detected():
         "leaky",
         dims,
         ("f",),
-        (Variable("u", 2, 1, 1), Variable("v", 2, 2, 2)),
         (
-            Placement(0, 1, "u", Carrier("I-slice", 2)),
-            Placement(0, 2, "v", Carrier("I-slice", 2)),
+            Variable("u", 1, 1, Carrier("I-slice", 2), (0,)),
+            Variable("v", 2, 2, Carrier("I-slice", 2), (0,)),
         ),
     )
     res = _verify(scheme, 2, 2)
@@ -181,10 +179,9 @@ def _handover_scheme():
         "handover",
         bx.Dimensions(2, 2),
         ("z1",),  # rx2 hears only tx2
-        (Variable("u", 2, 2, 2), Variable("v", 2, 1, 1)),
         (
-            Placement(0, 2, "u", Carrier("I-slice", 2)),
-            Placement(0, 1, "v", Carrier("I-slice", 2)),
+            Variable("u", 2, 2, Carrier("I-slice", 2), (0,)),
+            Variable("v", 1, 1, Carrier("I-slice", 2), (0,)),
         ),
     )
 
@@ -218,16 +215,10 @@ def _aligned_scheme(start_v):
         bx.Dimensions(3, 3),
         ("f",),
         (
-            Variable("a1", 1, 1, 1),
-            Variable("a2", 1, 2, 1),
-            Variable("u", 1, 1, 2),
-            Variable("v", 1, 2, 2),
-        ),
-        (
-            Placement(0, 1, "a1", Carrier("pinv", 1, ch=3, start=2)),
-            Placement(0, 2, "a2", Carrier("pinv", 1, ch=4, start=2)),
-            Placement(0, 1, "u", Carrier("pinv", 1, ch=1)),
-            Placement(0, 2, "v", Carrier("pinv", 1, ch=2, start=start_v)),
+            Variable("a1", 1, 1, Carrier("pinv", 1, ch=3, start=2), (0,)),
+            Variable("a2", 2, 1, Carrier("pinv", 1, ch=4, start=2), (0,)),
+            Variable("u", 1, 2, Carrier("pinv", 1, ch=1), (0,)),
+            Variable("v", 2, 2, Carrier("pinv", 1, ch=2, start=start_v), (0,)),
         ),
     )
 
@@ -345,11 +336,10 @@ def test_misaligned_zf_code_fails_in_the_decoder():
     """zf at 4x3 with c on an identity slice instead of its alignment block."""
     dims = bx.Dimensions(4, 3)
     zf = bx.build_zf_code(dims)
-    placements = tuple(
-        replace(pl, carrier=Carrier("I-slice", pl.carrier.width)) if pl.var == "c" else pl
-        for pl in zf.placements
+    variables = tuple(
+        replace(v, carrier=Carrier("I-slice", v.length)) if v.name == "c" else v for v in zf.variables
     )
-    scheme = replace(zf, name="zf_misaligned", placements=placements)
+    scheme = replace(zf, name="zf_misaligned", variables=variables)
     for seed in range(3):
         res = _verify(scheme, 4, 3, seed=seed)
         assert not res.ok

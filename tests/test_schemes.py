@@ -8,7 +8,7 @@ import pytest
 import burstyx as bx
 import burstyx.schemes
 import burstyx.sim
-from burstyx.schemes import Carrier, CodeScheme, Placement, Variable
+from burstyx.schemes import Carrier, CodeScheme, Variable
 
 
 def _dims(m=4, n=3):
@@ -84,8 +84,8 @@ def test_each_basis_is_computed_once_per_draw(monkeypatch):
     function_of = {"pinv": "pseudo_inverse", "null": "null_space_basis"}
     expected = set()
     for scheme in kinds:
-        for pl in scheme.placements:
-            c = pl.carrier
+        for v in scheme.variables:
+            c = v.carrier
             if c.kind == "pair":
                 expected.add(("paired_alignment", c.ch, c.ch_b))
             elif c.kind != "I-slice":
@@ -121,17 +121,16 @@ def test_leading_pinv_carrier_is_the_alignment_block():
         Carrier("align", 2, ch=3)
 
 
-def _two_stream_scheme(dims):
-    """Hand-rolled all-links slot: each tx sends its own identity load."""
+def _two_stream_scheme(dims, topo="f"):
+    """Hand-rolled one-slot code: each tx sends its own identity load."""
     m = dims.m
     return CodeScheme(
-        "manual_f",
+        f"manual_{topo}",
         dims,
-        ("f",),
-        (Variable("u1", m, 1, 1), Variable("u2", m, 2, 2)),
+        (topo,),
         (
-            Placement(0, 1, "u1", Carrier("I-slice", m)),
-            Placement(0, 2, "u2", Carrier("I-slice", m)),
+            Variable("u1", 1, 1, Carrier("I-slice", m), (0,)),
+            Variable("u2", 2, 2, Carrier("I-slice", m), (0,)),
         ),
     )
 
@@ -141,28 +140,19 @@ def test_effective_channel_stacks_per_receiver():
     ch = bx.sample_channels(dims, 4)
     eff = bx.effective_channel(ch, _two_stream_scheme(dims))
     assert eff.matrix.shape == (4, 4)
-    assert np.array_equal(eff.block(1, 0, "u1"), ch.h(1))
-    assert np.array_equal(eff.block(1, 0, "u2"), ch.h(2))
-    assert np.array_equal(eff.block(2, 0, "u1"), ch.h(3))
-    assert np.array_equal(eff.block(2, 0, "u2"), ch.h(4))
+    # rows: rx1 then rx2; columns: u1 then u2
+    assert np.array_equal(eff.matrix[:2, :2], ch.h(1))
+    assert np.array_equal(eff.matrix[:2, 2:], ch.h(2))
+    assert np.array_equal(eff.matrix[2:, :2], ch.h(3))
+    assert np.array_equal(eff.matrix[2:, 2:], ch.h(4))
 
 
 def test_effective_channel_gates_dead_links():
     dims = _dims(2, 2)
     ch = bx.sample_channels(dims, 4)
-    scheme = CodeScheme(
-        "manual_z1",
-        dims,
-        ("z1",),  # rx2<-tx1 is off
-        (Variable("u1", 2, 1, 1), Variable("u2", 2, 2, 2)),
-        (
-            Placement(0, 1, "u1", Carrier("I-slice", 2)),
-            Placement(0, 2, "u2", Carrier("I-slice", 2)),
-        ),
-    )
-    eff = bx.effective_channel(ch, scheme)
-    assert np.all(eff.block(2, 0, "u1") == 0.0)
-    assert np.array_equal(eff.block(2, 0, "u2"), ch.h(4))
+    eff = bx.effective_channel(ch, _two_stream_scheme(dims, "z1"))  # rx2<-tx1 is off
+    assert np.all(eff.matrix[2:, :2] == 0.0)
+    assert np.array_equal(eff.matrix[2:, 2:], ch.h(4))
 
 
 def test_effective_channel_concat_order():
@@ -175,7 +165,31 @@ def test_effective_channel_concat_order():
     assert np.array_equal(flat[cols["u1"]], x["u1"])
     assert np.array_equal(flat[cols["u2"]], x["u2"])
     y = eff.matrix @ flat
-    assert np.allclose(y[eff.row_blocks[(1, 0)]], ch.h(1) @ x["u1"] + ch.h(2) @ x["u2"])
+    assert np.allclose(y[:2], ch.h(1) @ x["u1"] + ch.h(2) @ x["u2"])
+
+
+def test_effective_channel_sends_each_variable_in_its_slots_only():
+    """Rows of (rx, slot) start at ((rx - 1) * n_slots + slot) * N."""
+    dims = _dims(2, 2)
+    ch = bx.sample_channels(dims, 7)
+    scheme = CodeScheme(
+        "manual_two_slots",
+        dims,
+        ("f", "z2"),  # rx1<-tx1 is off in slot 1
+        (
+            Variable("u", 1, 1, Carrier("I-slice", 1), (0, 1)),
+            Variable("v", 2, 2, Carrier("I-slice", 1, start=1), (1,)),
+        ),
+    )
+    eff = bx.effective_channel(ch, scheme)
+    assert eff.matrix.shape == (8, 2)
+    u, v = eff.matrix[:, 0], eff.matrix[:, 1]
+    expected_u = [ch.h(1)[:, 0], np.zeros(2), ch.h(3)[:, 0], ch.h(3)[:, 0]]
+    expected_v = [np.zeros(2), ch.h(2)[:, 1], np.zeros(2), ch.h(4)[:, 1]]
+    for block in range(4):
+        rows = slice(2 * block, 2 * block + 2)
+        assert np.array_equal(u[rows], expected_u[block]), block
+        assert np.array_equal(v[rows], expected_v[block]), block
 
 
 def test_validation_rejects_duplicate_names():
@@ -185,10 +199,9 @@ def test_validation_rejects_duplicate_names():
             "bad",
             dims,
             ("f",),
-            (Variable("u", 2, 1, 1), Variable("u", 2, 2, 2)),
             (
-                Placement(0, 1, "u", Carrier("I-slice", 2)),
-                Placement(0, 2, "u", Carrier("I-slice", 2)),
+                Variable("u", 1, 1, Carrier("I-slice", 2), (0,)),
+                Variable("u", 2, 2, Carrier("I-slice", 2), (0,)),
             ),
         )
 
@@ -196,56 +209,37 @@ def test_validation_rejects_duplicate_names():
 def test_validation_rejects_unknown_topology():
     dims = _dims(2, 2)
     with pytest.raises(ValueError, match="topology"):
-        CodeScheme(
-            "bad",
-            dims,
-            ("nothere",),
-            (Variable("u", 2, 1, 1),),
-            (Placement(0, 1, "u", Carrier("I-slice", 2)),),
-        )
-
-
-def test_validation_rejects_width_mismatch():
-    dims = _dims(2, 2)
-    with pytest.raises(ValueError, match="width"):
-        CodeScheme(
-            "bad",
-            dims,
-            ("f",),
-            (Variable("u", 2, 1, 1),),
-            (Placement(0, 1, "u", Carrier("I-slice", 1)),),
-        )
+        CodeScheme("bad", dims, ("nothere",), (Variable("u", 1, 1, Carrier("I-slice", 2), (0,)),))
 
 
 def test_validation_rejects_zero_length_variable():
     # builders create zero-length variables and drop them before validation
-    empty = Variable("z", 0, 2, 2)
+    empty = Variable("z", 2, 2, Carrier("I-slice", 0), (0,))
     with pytest.raises(ValueError, match="zero length"):
         CodeScheme(
             "bad",
             _dims(2, 2),
             ("f",),
-            (Variable("u", 2, 1, 1), empty),
-            (
-                Placement(0, 1, "u", Carrier("I-slice", 2)),
-                Placement(0, 2, "z", Carrier("I-slice", 0)),
-            ),
+            (Variable("u", 1, 1, Carrier("I-slice", 2), (0,)), empty),
         )
 
 
-def test_validation_rejects_bad_placements():
-    """What is left of validation once receivers pick their own decode."""
-    dims = _dims(2, 2)
-    u = Variable("u", 2, 1, 1)
-    cases = [
-        ("never placed", ()),
-        ("missing slot", (Placement(1, 1, "u", Carrier("I-slice", 2)),)),
-        ("unknown variable", (Placement(0, 1, "v", Carrier("I-slice", 2)),)),
-        ("wrong transmitter", (Placement(0, 2, "u", Carrier("I-slice", 2)),)),
-    ]
-    for message, placements in cases:
-        with pytest.raises(ValueError, match=message):
-            CodeScheme("bad", dims, ("f",), (u,), placements)
+@pytest.mark.parametrize(
+    "width, slots, message",
+    [
+        (2, (), "distinct slots below 2"),
+        (2, (1, 1), "distinct slots below 2"),
+        (2, (2,), "distinct slots below 2"),
+        (2, (-1,), "distinct slots below 2"),
+        (0, (0,), "zero length"),
+    ],
+    ids=["empty-slots", "repeated-slot", "slot-past-the-end", "negative-slot", "zero-width"],
+)
+def test_validation_rejects_bad_variables(width, slots, message):
+    """A variable's slots are non-empty, distinct and in range; its width is positive."""
+    u = Variable("u", 1, 1, Carrier("I-slice", width), slots)
+    with pytest.raises(ValueError, match=message):
+        CodeScheme("bad", _dims(2, 2), ("f", "z1"), (u,))
 
 
 def test_receiver_columns_split_by_receiver_once_per_scheme():
