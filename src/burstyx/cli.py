@@ -8,7 +8,8 @@ Subcommands:
 
 Antenna counts (verify --shapes, simulate --m/--n) are at most 64 per side,
 which keeps a channel draw's memory bounded. verify takes at most 100,000
---seeds and 1,000 --trials, which bounds its run time.
+--seeds and 1,000 --trials, which bounds its run time, and writes each
+shape's records (text, or --json array items) once that shape is done.
 
 Exit codes: 0 on success, 1 when a verification or simulation check fails,
 2 on usage errors, such as a value above one of those ceilings. When the
@@ -172,8 +173,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             expanded.extend(f"single:{t}" for t in sorted(TOPOLOGIES))
         else:
             expanded.append(label)
-    records = []
+    written = skipped = 0
     failed = False
+    if args.json:
+        sys.stdout.write("[")
     for dims in args.shapes:
         shape = f"{dims.m}x{dims.n}"
         # (label, scheme or None when skipped, its records), in label order:
@@ -198,30 +201,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "status": "ok" if res.ok else "fail",
                     "dof": res.achieved_dof,
                     "max_rel_error": res.max_rel_error,
+                    "max_null_residual": res.max_null_residual,
+                    # null, not inf, when no receiver decodes anything (single:empty)
+                    "min_separation": res.min_separation if res.min_separation < float("inf") else None,
                 }
                 if res.error:
                     rec["error"] = res.error
                 label_records.append(rec)
                 failed = failed or not res.ok
+        # Laid out as one json.dumps(records, indent=2) of every shape would be.
         for _label, _scheme, label_records in cases:
-            records.extend(label_records)
+            for rec in label_records:
+                if args.json:
+                    item = json.dumps(rec, indent=2, sort_keys=True).replace("\n", "\n  ")
+                    sys.stdout.write(("," if written else "") + "\n  " + item)
+                elif rec["status"] == "skip":
+                    print(f"skip {rec['construction']:16s} {rec['shape']:6s} {rec['reason']}")
+                else:
+                    line = (
+                        f"{rec['status']:4s} {rec['construction']:16s} {rec['shape']:6s} "
+                        f"seed={rec['seed']} dof={rec['dof']} err={rec['max_rel_error']:.2e}"
+                    )
+                    if "error" in rec:
+                        line += f"  ({rec['error']})"
+                    print(line)
+                written += 1
+                skipped += rec["status"] == "skip"
+        sys.stdout.flush()
     if args.json:
-        print(json.dumps(records, indent=2, sort_keys=True))
+        print("\n]" if written else "]")
     else:
-        for rec in records:
-            if rec["status"] == "skip":
-                print(f"skip {rec['construction']:16s} {rec['shape']:6s} {rec['reason']}")
-            else:
-                line = (
-                    f"{rec['status']:4s} {rec['construction']:16s} {rec['shape']:6s} "
-                    f"seed={rec['seed']} dof={rec['dof']} err={rec['max_rel_error']:.2e}"
-                )
-                if "error" in rec:
-                    line += f"  ({rec['error']})"
-                print(line)
-        checked = sum(1 for r in records if r["status"] != "skip")
-        skipped = len(records) - checked
-        print(f"{checked} checks, {skipped} skipped, {'FAIL' if failed else 'all ok'}")
+        print(f"{written - skipped} checks, {skipped} skipped, {'FAIL' if failed else 'all ok'}")
     return 1 if failed else 0
 
 

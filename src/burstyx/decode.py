@@ -26,14 +26,16 @@ receiver and memoized in eff.receivers, read-only (see _receiver):
 The memo keeps the receiver's projected rows P H, with P = I - U_r U_r^T,
 so each call projects y_j as one product (P H) x and solves with the
 cached factorization, whose residual check holds every column to
-rel_tol. Every check is written as ``not value <= tol``, so a NaN fails
-it.
+rel_tol. A message x is one array in the scheme's column order
+(CodeScheme.columns), and so is its decode. reconstruction_error is the
+one reconstruction gate, which verify_decodability and run_simulation
+share. Every check is written as ``not value <= tol``, so a NaN fails it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,13 +43,17 @@ from .channel import ChannelSet
 from .linalg import solve_exact
 from .schemes import CodeScheme, EffectiveChannel, effective_channel
 
-__all__ = ["DecodeError", "DecodeMetrics", "VerifyResult", "sic_decode", "verify_decodability"]
+__all__ = ["DecodeError", "DecodeMetrics", "VerifyResult", "reconstruction_error", "sic_decode", "verify_decodability"]
 
 STRUCT_TOL = 1e-9
 
 
 class DecodeError(RuntimeError):
-    """A receiver cannot separate its variables from its interference."""
+    """A receiver cannot separate its variables; separation is its separation (0.0 if rank deficient)."""
+
+    def __init__(self, message: str, separation: float):
+        super().__init__(message)
+        self.separation = separation
 
 
 @dataclass
@@ -59,7 +65,6 @@ class DecodeMetrics:
 class _Receiver(NamedTuple):
     """What receiver rx's decode needs of one effective channel."""
 
-    desired: np.ndarray  # its columns, in column order
     projected: np.ndarray  # its rows with the interference span projected out
     solve: Callable[..., np.ndarray]  # factored A_j
     null_residual: float
@@ -76,7 +81,7 @@ def _receiver(eff: EffectiveChannel, rx: int) -> _Receiver:
     if rec is not None:
         return rec
     height = eff.matrix.shape[0] // 2
-    desired, interference = eff.receiver_columns[rx]
+    desired, interference = eff.scheme.receiver_columns[rx]
     h = eff.matrix[(rx - 1) * height : rx * height]
     col_sq = np.square(h).sum(axis=0)
     scale = max(1.0, float(np.sqrt(col_sq.sum())))
@@ -98,41 +103,59 @@ def _receiver(eff: EffectiveChannel, rx: int) -> _Receiver:
     if not separation > STRUCT_TOL:
         raise DecodeError(
             f"rx{rx} cannot separate its {desired.size} desired columns from "
-            f"its interference (smallest singular value {separation:.3e} of scale)"
+            f"its interference (smallest singular value {separation:.3e} of scale)",
+            separation,
         )
     projected.setflags(write=False)
-    rec = _Receiver(desired, projected, solve, residual / scale, separation)
+    rec = _Receiver(projected, solve, residual / scale, separation)
     eff.receivers[rx] = rec
     return rec
 
 
 # Named for the schedule replay it replaced; the benchmark's tracer binds this name.
-def sic_decode(
-    eff: EffectiveChannel,
-    x_true: Dict[str, np.ndarray],
-    rel_tol: float = 1e-6,
-) -> Tuple[Dict[str, np.ndarray], DecodeMetrics]:
-    """Decode the noise-free observations y = H_eff x_true at each receiver.
+def sic_decode(eff: EffectiveChannel, x: np.ndarray, rel_tol: float = 1e-6) -> Tuple[np.ndarray, DecodeMetrics]:
+    """Decode the noise-free observations y = H_eff x at each receiver.
 
-    Each x_true[name] is one message (length,) or a batch of B messages
-    (length, B), one per column; the decoded values have the same shape.
-    Each receiver's projection and factorization depend only on eff, so
-    they are computed once per effective channel, whatever the batch.
-    Returns the decoded variables and the structural metrics. Raises
-    DecodeError when a receiver cannot separate its variables and
-    ValueError when a projected system has a residual above rel_tol.
+    x is one message (total_symbols,) or a batch (total_symbols, B) with
+    one message per column, laid out as eff.scheme.columns; the decode has
+    its shape. Each receiver's projection and factorization are computed
+    once per effective channel, whatever the batch. Returns the decode and
+    the structural metrics. Raises DecodeError when a receiver cannot
+    separate its variables and ValueError when a projected system has a
+    residual above rel_tol.
     """
     metrics = DecodeMetrics()
-    x = eff.concat(x_true)
-    x_hat = np.empty_like(x)
+    x_hat = np.empty(np.shape(x))
     for rx in (1, 2):
-        if not eff.receiver_columns[rx][0].size:
+        desired = eff.scheme.receiver_columns[rx][0]
+        if not desired.size:
             continue
         rec = _receiver(eff, rx)
-        x_hat[rec.desired] = rec.solve(rec.projected @ x, rel_tol)
+        x_hat[desired] = rec.solve(rec.projected @ x, rel_tol)
         metrics.max_null_residual = max(metrics.max_null_residual, rec.null_residual)
         metrics.min_separation = min(metrics.min_separation, rec.separation)
-    return {name: x_hat[blk] for name, blk in eff.col_blocks.items()}, metrics
+    return x_hat, metrics
+
+
+def reconstruction_error(
+    scheme: CodeScheme, x_hat: np.ndarray, x: np.ndarray, rel_tol: float
+) -> Tuple[float, Optional[str]]:
+    """Hold each variable v of each message to rel_tol on its own.
+
+    x and x_hat are laid out as in sic_decode; v's error in one message is
+    ||x_hat_v - x_v|| / max(1, ||x_v||). Returns the worst error (NaN if
+    any is) and, when an error is above rel_tol or not finite, a message
+    naming the first such variable in column order; else None.
+    """
+    starts = [blk.start for blk in scheme.columns.values()]
+    err_sq, x_sq = (np.add.reduceat(a**2, starts) for a in (x_hat - x, x))
+    err = np.sqrt(err_sq) / np.maximum(1.0, np.sqrt(x_sq))
+    err = err.max(axis=1) if err.ndim > 1 else err  # per variable, over the batch; keeps a NaN
+    worst = float(err.max(initial=0.0))
+    for v, e in zip(scheme.variables, err):
+        if not e <= rel_tol:
+            return worst, f"variable {v.name!r} reconstructed with relative error {e:.3e}"
+    return worst, None
 
 
 @dataclass
@@ -155,13 +178,13 @@ def verify_decodability(
 ) -> VerifyResult:
     """Decode random messages through the scheme on the given channels.
 
-    Each trial draws fresh standard normal messages, decodes, and compares
-    against the truth at relative tolerance rel_tol; a non-finite error
-    fails. The messages come from child 1 of SeedSequence(seed), as in
-    run_simulation, so they are independent of sample_channels(dims,
-    seed). The result carries the worst reconstruction error and the
-    structural metrics over all trials. Raises ValueError when trials is
-    below 1.
+    Each trial draws one fresh standard normal message, decodes it, and
+    holds it to rel_tol through reconstruction_error. The messages come
+    from child 1 of SeedSequence(seed), as in run_simulation, so they are
+    independent of sample_channels(dims, seed). The result carries the
+    worst reconstruction error and the structural metrics over all
+    trials; when a receiver cannot separate its variables, min_separation
+    is that receiver's. Raises ValueError when trials is below 1.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -170,28 +193,19 @@ def verify_decodability(
     try:
         eff = effective_channel(channels, scheme)
         for _ in range(trials):
-            x_true = {
-                v.name: rng.standard_normal(v.length) for v in scheme.variables
-            }
-            decoded, metrics = sic_decode(eff, x_true, rel_tol)
-            for v in scheme.variables:
-                err = float(
-                    np.linalg.norm(decoded[v.name] - x_true[v.name])
-                ) / max(1.0, float(np.linalg.norm(x_true[v.name])))
-                result.max_rel_error = float(np.maximum(result.max_rel_error, err))  # keeps a NaN
-                if not err <= rel_tol:
-                    result.ok = False
-                    result.error = (
-                        f"variable {v.name!r} reconstructed with relative "
-                        f"error {err:.3e}"
-                    )
-            result.max_null_residual = max(
-                result.max_null_residual, metrics.max_null_residual
-            )
+            x = rng.standard_normal(scheme.total_symbols)
+            x_hat, metrics = sic_decode(eff, x, rel_tol)
+            worst, failure = reconstruction_error(scheme, x_hat, x, rel_tol)
+            result.max_rel_error = float(np.maximum(result.max_rel_error, worst))  # keeps a NaN
+            if failure:
+                result.ok, result.error = False, failure
+            result.max_null_residual = max(result.max_null_residual, metrics.max_null_residual)
             result.min_separation = min(result.min_separation, metrics.min_separation)
-    except (DecodeError, ValueError) as exc:
-        result.ok = False
-        result.error = str(exc)
+    except DecodeError as exc:
+        result.ok, result.error = False, str(exc)
+        result.min_separation = min(result.min_separation, exc.separation)
+    except ValueError as exc:
+        result.ok, result.error = False, str(exc)
     if not result.ok:
         result.achieved_dof = 0
     return result

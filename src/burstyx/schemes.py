@@ -11,15 +11,17 @@ concrete channel draw:
 - Variable: a named message stream that one transmitter sends to one
   receiver on one carrier, in every slot it uses; its length is the
   carrier's width.
-- CodeScheme: the slot topologies and the variables.
+- CodeScheme: the slot topologies and the variables, and the column
+  layout of a message: one array that stacks the variables in order.
 - EffectiveChannel: the stacked receive matrix for one channel draw, with
-  one block row per (receiver, slot) and per-variable column blocks.
+  one block row per (receiver, slot) and the scheme's column blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -99,10 +101,7 @@ class Carrier:
         if self.kind == "I-slice":
             if self.start + self.width > m:
                 raise ValueError("identity slice exceeds transmit dimension")
-            block = np.zeros((m, self.width))
-            for i in range(self.width):
-                block[self.start + i, i] = 1.0
-            return block
+            return np.eye(m, self.width, -self.start)
         if self.kind == "pair":
             ga, gb = _basis(channels, "pair", self.ch, self.ch_b)
             block = ga if self.side == "a" else gb
@@ -158,11 +157,21 @@ class CodeScheme:
         return TOPOLOGIES[self.slot_topologies[slot]]
 
     @cached_property
-    def receiver_columns(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Per receiver, the effective-channel columns it decodes and the rest.
+    def columns(self) -> Dict[str, slice]:
+        """Each variable's columns of a message and of the effective channel.
 
-        Columns follow the variable order, as effective_channel lays them
-        out. Computed once per scheme (the builders share theirs), read-only.
+        A message is one array of total_symbols rows (a batch has one
+        column per message) with the variables stacked in order. Computed
+        once per scheme (the builders share theirs).
+        """
+        ends = accumulate(v.length for v in self.variables)
+        return {v.name: slice(end - v.length, end) for v, end in zip(self.variables, ends)}
+
+    @cached_property
+    def receiver_columns(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """Per receiver, the columns it decodes and the rest.
+
+        Computed once per scheme, like columns, and read-only.
         """
         rx_of = np.repeat([v.rx for v in self.variables], [v.length for v in self.variables])
         out = {}
@@ -196,27 +205,16 @@ class EffectiveChannel:
 
     matrix has one block row per (receiver, slot) pair, receiver-major, each
     of height N, so the rows of (rx, slot) start at
-    ((rx - 1) * n_slots + slot) * N; and one block column per variable. A
+    ((rx - 1) * n_slots + slot) * N; its columns are scheme.columns. A
     variable's block is zero in the slots it is not sent in and wherever
     its link is off.
     matrix is read-only, so ``receivers``, where decode memoizes each
     receiver's projection and factorization, can never go stale.
-    receiver_columns is the scheme's (see CodeScheme.receiver_columns).
     """
 
+    scheme: CodeScheme = field(repr=False)
     matrix: np.ndarray
-    var_order: Tuple[str, ...]
-    col_blocks: Dict[str, slice] = field(repr=False, default_factory=dict)
-    receiver_columns: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(repr=False, default_factory=dict)
     receivers: Dict[int, object] = field(repr=False, default_factory=dict)
-
-    def concat(self, x: Dict[str, np.ndarray]) -> np.ndarray:
-        """Stack per-variable values, (length,) or (length, B), in column order."""
-        batch = np.shape(x[self.var_order[0]])[1:] if self.var_order else ()
-        out = np.zeros((self.matrix.shape[1],) + batch)
-        for name in self.var_order:
-            out[self.col_blocks[name]] = x[name]
-        return out
 
 
 def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChannel:
@@ -225,20 +223,14 @@ def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChan
     if (dims.m, dims.n) != (scheme.dims.m, scheme.dims.n):
         raise ValueError("channel set and scheme dimensions disagree")
     n, s_count = dims.n, scheme.n_slots
-    var_order = tuple(v.name for v in scheme.variables)
-    col_blocks: Dict[str, slice] = {}
-    off = 0
-    for v in scheme.variables:
-        col_blocks[v.name] = slice(off, off + v.length)
-        off += v.length
-    matrix = np.zeros((2 * s_count * n, off))
+    matrix = np.zeros((2 * s_count * n, scheme.total_symbols))
 
     cache: Dict[Carrier, np.ndarray] = {}
     for v in scheme.variables:
         if v.carrier not in cache:
             cache[v.carrier] = v.carrier.materialize(channels)
         block = cache[v.carrier]
-        cols = col_blocks[v.name]
+        cols = scheme.columns[v.name]
         for slot in v.slots:
             topo = scheme.topology(slot)
             for rx in (1, 2):
@@ -246,10 +238,4 @@ def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChan
                     r0 = ((rx - 1) * s_count + slot) * n
                     matrix[r0 : r0 + n, cols] = channels.link_matrix(rx, v.tx) @ block
     matrix.setflags(write=False)
-
-    return EffectiveChannel(
-        matrix=matrix,
-        var_order=var_order,
-        col_blocks=col_blocks,
-        receiver_columns=scheme.receiver_columns,
-    )
+    return EffectiveChannel(scheme, matrix)

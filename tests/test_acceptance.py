@@ -220,7 +220,7 @@ def test_structural_property_suite_100_seeds():
                 for slot, topo_name in enumerate(scheme.slot_topologies):
                     r0 = ((rx - 1) * scheme.n_slots + slot) * zdims.n
                     for v in scheme.variables:
-                        block = eff.matrix[r0 : r0 + zdims.n, eff.col_blocks[v.name]]
+                        block = eff.matrix[r0 : r0 + zdims.n, scheme.columns[v.name]]
                         if slot not in v.slots or not bx.TOPOLOGIES[topo_name].link(rx, v.tx):
                             assert np.all(block == 0.0), (scheme.name, shape, rx, slot, v.name)
     assert {"ia_block", "ia_refined", "zf_block", "pair_z12", "pair_z34", "f_fallback"} <= zero_checked

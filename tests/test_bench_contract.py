@@ -50,3 +50,21 @@ def test_every_traced_binding_resolves():
         if not hasattr(importlib.import_module(mod_name), attr)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("label,m,n", [("zf", 4, 3), ("z12", 24, 18), ("single:empty", 3, 3)])
+def test_verify_case_decodes_once_per_trial_per_channel(workloads, label, m, n):
+    """The benchmark's tests read decode.msgs_per_channel == VERIFY_TRIALS:
+    one sic_decode call per trial for each effective channel."""
+    tracer = _import_bench("tracing").Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(large=max(m, n) > workloads.LARGE_ABOVE)
+        verdict = workloads.verify_case(label, m, n, channel_seed=5)
+    finally:
+        tracer.uninstall()
+    assert verdict[2] == "ok"
+    names = [span[0] for span in tracer.spans]
+    assert names.count("schemes.effective_channel") == 1
+    assert names.count("decode.sic_decode") == workloads.VERIFY_TRIALS
+    assert tracer.metrics(rounds=1, traced_s=1.0)["decode.msgs_per_channel"] == workloads.VERIFY_TRIALS

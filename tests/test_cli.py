@@ -2,6 +2,7 @@
 
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,101 @@ def test_verify_json(capsys):
     records = json.loads(capsys.readouterr().out)
     assert all(r["status"] == "ok" for r in records)
     assert any(r["dof"] == 24 for r in records)
+
+
+def test_verify_json_streams_the_indented_array_with_structural_metrics(capsys):
+    rc = main(["verify", "--shapes", "4x2,3x3", "--constructions", "z12,single:empty",
+               "--seeds", "2", "--trials", "1", "--json"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    records = json.loads(out)
+    assert out == json.dumps(records, indent=2, sort_keys=True) + "\n"
+    assert [(r["construction"], r["shape"], r["status"]) for r in records] == [
+        ("z12", "4x2", "skip"),
+        ("single:empty", "4x2", "ok"),
+        ("single:empty", "4x2", "ok"),
+        ("z12", "3x3", "ok"),
+        ("z12", "3x3", "ok"),
+        ("single:empty", "3x3", "ok"),
+        ("single:empty", "3x3", "ok"),
+    ]
+    assert "min_separation" not in records[0] and "max_null_residual" not in records[0]
+    for r in records[1:]:
+        assert 0.0 <= r["max_null_residual"] < 1e-10
+        if r["construction"] == "z12":
+            assert r["min_separation"] > 1e-9
+        else:  # no receiver decodes anything
+            assert r["min_separation"] is None and r["max_null_residual"] == 0.0
+    assert main(["verify", "--shapes", "4x3", "--constructions", ",", "--json"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_verify_writes_each_shape_before_drawing_the_next(capsys, monkeypatch, fmt):
+    import burstyx.cli
+
+    real = burstyx.cli.sample_channels
+    written = []  # stdout written before each shape's first draw
+
+    def spy(dims, seed):
+        if seed == 0:
+            written.append(capsys.readouterr().out)
+        return real(dims, seed)
+
+    monkeypatch.setattr(burstyx.cli, "sample_channels", spy)
+    assert main(["verify", "--shapes", "4x3,3x4", "--constructions", "z12",
+                 "--seeds", "2", "--trials", "1"] + fmt) == 0
+    first_shape = written[1]
+    assert first_shape.count("4x3") == 2 and "3x4" not in first_shape
+    rest = capsys.readouterr().out
+    assert rest.count("3x4") == 2
+    whole = "".join(written) + rest
+    if fmt:
+        assert whole == json.dumps(json.loads(whole), indent=2, sort_keys=True) + "\n"
+    else:
+        assert whole.splitlines()[-1] == "4 checks, 0 skipped, all ok"
+
+
+# Holds shape 3x4's first draw until a line arrives on stdin.
+_GATED_VERIFY = """
+import sys
+import burstyx.cli as cli
+real = cli.sample_channels
+def gated(dims, seed):
+    if (dims.m, dims.n, seed) == (3, 4, 0):
+        sys.stdin.readline()
+    return real(dims, seed)
+cli.sample_channels = gated
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_verify_flushes_each_shape_to_a_pipe():
+    """A reader on a pipe gets shape 1's records while shape 2 is still pending."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered, as in normal use
+    argv = ["verify", "--shapes", "4x3,3x4", "--constructions", "z12", "--seeds", "2", "--trials", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _GATED_VERIFY, *argv], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
+    )
+    try:
+        first = b""
+        while first.count(b"\n") < 2:
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, f"shape 1's records were not flushed: {first!r}"
+            chunk = os.read(proc.stdout.fileno(), 65536)
+            assert chunk, f"stdout closed early: {first!r}"
+            first += chunk
+        assert first.count(b"4x3") == 2 and b"3x4" not in first
+        proc.stdin.write(b"go\n")
+        proc.stdin.close()
+        rest = proc.stdout.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert rest.count(b"3x4") == 2 and rest.endswith(b"4 checks, 0 skipped, all ok\n")
 
 
 def test_verify_draws_each_shape_and_seed_once(capsys, monkeypatch):

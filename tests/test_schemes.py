@@ -155,17 +155,17 @@ def test_effective_channel_gates_dead_links():
     assert np.array_equal(eff.matrix[2:, 2:], ch.h(4))
 
 
-def test_effective_channel_concat_order():
+def test_effective_channel_column_order():
+    """A message stacks the variables in order; eff.matrix reads it as laid out."""
     dims = _dims(2, 2)
     ch = bx.sample_channels(dims, 6)
-    eff = bx.effective_channel(ch, _two_stream_scheme(dims))
-    x = {"u1": np.array([1.0, 2.0]), "u2": np.array([3.0, 4.0])}
-    flat = eff.concat(x)
-    cols = eff.col_blocks
-    assert np.array_equal(flat[cols["u1"]], x["u1"])
-    assert np.array_equal(flat[cols["u2"]], x["u2"])
-    y = eff.matrix @ flat
-    assert np.allclose(y[:2], ch.h(1) @ x["u1"] + ch.h(2) @ x["u2"])
+    scheme = _two_stream_scheme(dims)
+    eff = bx.effective_channel(ch, scheme)
+    assert eff.scheme is scheme
+    assert scheme.columns == {"u1": slice(0, 2), "u2": slice(2, 4)}
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    y = eff.matrix @ x
+    assert np.allclose(y[:2], ch.h(1) @ x[:2] + ch.h(2) @ x[2:])
 
 
 def test_effective_channel_sends_each_variable_in_its_slots_only():
@@ -244,15 +244,15 @@ def test_validation_rejects_bad_variables(width, slots, message):
 
 def test_receiver_columns_split_by_receiver_once_per_scheme():
     scheme = bx.build_zf_code(_dims(4, 3))
-    eff = bx.effective_channel(bx.sample_channels(_dims(4, 3), 1), scheme)
-    assert eff.receiver_columns is scheme.receiver_columns
+    assert scheme.receiver_columns is scheme.receiver_columns
+    assert scheme.columns is bx.build_zf_code(_dims(4, 3)).columns
     for rx in (1, 2):
         desired, interference = scheme.receiver_columns[rx]
         want = [
             col
             for v in scheme.variables
             if v.rx == rx
-            for col in range(eff.col_blocks[v.name].start, eff.col_blocks[v.name].stop)
+            for col in range(scheme.columns[v.name].start, scheme.columns[v.name].stop)
         ]
         assert desired.tolist() == want
         assert sorted(desired.tolist() + interference.tolist()) == list(range(scheme.total_symbols))

@@ -80,7 +80,8 @@ def test_schedule_rejects_negative_counts():
 
 
 def test_each_kind_occupies_the_slots_of_its_code():
-    """A kind's slot multiset is its code's, wherever the code builds."""
+    """A kind's slot multiset is its code's, wherever the code builds, and
+    its code carries at least one symbol there."""
     built = Counter()
     for m in range(1, 13):
         for n in range(1, 13):
@@ -91,6 +92,7 @@ def test_each_kind_occupies_the_slots_of_its_code():
                 except ValueError:
                     continue
                 assert Counter(scheme.slot_topologies) == kind.uses, (name, m, n)
+                assert scheme.total_symbols >= 1, (name, m, n)
                 built[name] += 1
     assert set(built) == set(burstyx.sim._KINDS)
 
@@ -210,12 +212,10 @@ def test_simulation_checks_every_message_of_a_batch(monkeypatch):
     real = burstyx.sim.sic_decode
     batch_widths = []
 
-    def wrong_second_message(eff, x_true, rel_tol=1e-6):
-        decoded, metrics = real(eff, x_true, rel_tol)
-        name = next(iter(decoded))
-        batch_widths.append(decoded[name].shape[1])
-        decoded[name] = decoded[name].copy()
-        decoded[name][:, 1] += 1e-3
+    def wrong_second_message(eff, x, rel_tol=1e-6):
+        decoded, metrics = real(eff, x, rel_tol)
+        batch_widths.append(decoded.shape[1])
+        decoded[0, 1] += 1e-3
         return decoded, metrics
 
     dims = bx.Dimensions(4, 3)
@@ -231,14 +231,13 @@ def test_simulation_fails_a_nan_decode(monkeypatch):
 
     real = burstyx.sim.sic_decode
 
-    def nan_decode(eff, x_true, rel_tol=1e-6):
-        decoded, metrics = real(eff, x_true, rel_tol)
-        name = eff.var_order[-1]
-        decoded[name] = np.full_like(decoded[name], np.nan)
+    def nan_decode(eff, x, rel_tol=1e-6):
+        decoded, metrics = real(eff, x, rel_tol)
+        decoded[eff.scheme.columns[eff.scheme.variables[-1].name]] = np.nan
         return decoded, metrics
 
     monkeypatch.setattr(burstyx.sim, "sic_decode", nan_decode)
-    with pytest.raises(RuntimeError, match="failed decode spot check on variable"):
+    with pytest.raises(RuntimeError, match="failed decode spot check: variable .* relative error nan"):
         bx.run_simulation(bx.Dimensions(4, 3), 0.5, 5_000, seed=6)
 
 
@@ -248,17 +247,17 @@ def test_simulation_names_the_first_failing_variable(monkeypatch):
     real = burstyx.sim.sic_decode
     names = []
 
-    def wrong_last_two(eff, x_true, rel_tol=1e-6):
-        decoded, metrics = real(eff, x_true, rel_tol)
-        names.extend(eff.var_order[-2:])
-        for name in eff.var_order[-2:]:
-            decoded[name] = decoded[name] + 1.0
+    def wrong_last_two(eff, x, rel_tol=1e-6):
+        decoded, metrics = real(eff, x, rel_tol)
+        for v in eff.scheme.variables[-2:]:
+            names.append(v.name)
+            decoded[eff.scheme.columns[v.name]] += 1.0
         return decoded, metrics
 
     monkeypatch.setattr(burstyx.sim, "sic_decode", wrong_last_two)
     with pytest.raises(RuntimeError) as exc:
         bx.run_simulation(bx.Dimensions(4, 3), 0.9, 5_000, seed=6)
-    assert f"on variable {names[0]!r}" in str(exc.value)
+    assert f"variable {names[0]!r} reconstructed" in str(exc.value)
 
 
 @pytest.mark.parametrize("n", [0, -3, 2.5, 100.0, 2**63, 2**64])
@@ -294,12 +293,11 @@ def test_spot_check_holds_each_variable_of_each_message_to_rel_tol(monkeypatch, 
 
     real = burstyx.sim.sic_decode
 
-    def off_by_factor_of_tol(eff, x_true, rel_tol=1e-6):
-        decoded, metrics = real(eff, x_true, rel_tol)
-        name = eff.var_order[-1]
-        x = x_true[name]
-        decoded[name] = x.copy()
-        decoded[name][0] += factor * rel_tol * np.maximum(1.0, np.linalg.norm(x, axis=0))
+    def off_by_factor_of_tol(eff, x, rel_tol=1e-6):
+        decoded, metrics = real(eff, x, rel_tol)
+        cols = eff.scheme.columns[eff.scheme.variables[-1].name]
+        decoded[cols] = x[cols]
+        decoded[cols.start] += factor * rel_tol * np.maximum(1.0, np.linalg.norm(x[cols], axis=0))
         return decoded, metrics
 
     monkeypatch.setattr(burstyx.sim, "sic_decode", off_by_factor_of_tol)
