@@ -13,6 +13,21 @@ slot. Multi-slot codes pair the one-cross-link topologies, with optional
 reuse of the all-links slot, and two precoders send every stream through
 all five interesting slots at once.
 
+The model is unchanged when the two transmitters, or the two receivers,
+trade places, so a code relabelled by such a swap (_relabel) is a code for
+the image topologies. Each code is written once per orbit, as its
+representative, and its images are derived:
+
+    representative  swap tx  swap rx    both
+    s11             s12      s21        s22
+    mac1                     mac2
+    bc1             bc2
+    par_direct               par_cross
+    z1              z4       z2         z3
+    pair z12                            pair z34
+
+empty, f and the five-slot codes' slot sets are their own images.
+
 Each builder lists its variables, each with its transmitter, receiver,
 carrier and the slots it is sent in. The list order is the column order of
 the effective channel, and so the order of the message streams.
@@ -24,7 +39,7 @@ from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .channel import Dimensions, TOPOLOGIES, Topology
+from .channel import Dimensions, TOPOLOGIES, TOPOLOGY_BY_INDEX, Topology
 from .schemes import Carrier, CodeScheme, Variable
 
 __all__ = [
@@ -64,6 +79,42 @@ def _scheme(name: str, dims: Dimensions, slots: Sequence[str], variables: Sequen
     return CodeScheme(name, dims, tuple(slots), tuple(v for v in variables if v.length > 0))
 
 
+# image -> (representative, swap_tx, swap_rx), as in the module docstring
+_IMAGES = {
+    "s12": ("s11", True, False), "s21": ("s11", False, True), "s22": ("s11", True, True),
+    "mac2": ("mac1", False, True),
+    "bc2": ("bc1", True, False),
+    "par_cross": ("par_direct", False, True),
+    "z4": ("z1", True, False), "z2": ("z1", False, True), "z3": ("z1", True, True),
+    "z34": ("z12", True, True),
+}
+
+
+def _relabel(scheme: CodeScheme, name: str, swap_tx: bool, swap_rx: bool) -> CodeScheme:
+    """scheme with the two transmitters (swap_tx) and/or receivers (swap_rx) traded.
+
+    Link (rx, tx) has alias k = 2(rx - 1) + tx, which is also the order of a
+    topology's link states, so a swap flips one bit of k - 1: bit 0 for tx,
+    bit 1 for rx. On the draw whose link matrices are swapped alike, the
+    image's effective channel is scheme's, its receiver row blocks
+    exchanged under swap_rx.
+    """
+    flip = swap_tx + 2 * swap_rx
+    alias = {None: None, **{k: ((k - 1) ^ flip) + 1 for k in range(1, 5)}}
+    slots = []
+    for topo in scheme.slot_topologies:
+        s = TOPOLOGIES[topo].links
+        slots.append(TOPOLOGY_BY_INDEX[8 * s[flip] + 4 * s[1 ^ flip] + 2 * s[2 ^ flip] + s[3 ^ flip]].name)
+    variables = []
+    for v in scheme.variables:
+        c = v.carrier
+        if c.ch is not None:
+            c = Carrier(c.kind, c.width, alias[c.ch], alias[c.ch_b], c.side, c.start)
+        tx, rx = (3 - v.tx if swap_tx else v.tx), (3 - v.rx if swap_rx else v.rx)
+        variables.append(Variable(v.name, tx, rx, c, v.slots))
+    return CodeScheme(name, scheme.dims, tuple(slots), tuple(variables))
+
+
 # ---------------------------------------------------------------------------
 # single-slot codes
 # ---------------------------------------------------------------------------
@@ -74,72 +125,40 @@ def _single(dims: Dimensions, topo: str, *streams) -> CodeScheme:
     return _scheme(f"single_{topo}", dims, (topo,), [Variable(*stream, (0,)) for stream in streams])
 
 
-def _single_link(dims: Dimensions, tx: int, rx: int, topo: str) -> CodeScheme:
-    return _single(dims, topo, ("a", tx, rx, _ident(min(dims.m, dims.n))))
+def _single_link(dims: Dimensions) -> CodeScheme:
+    return _single(dims, "s11", ("a", 1, 1, _ident(min(dims.m, dims.n))))
 
 
-def _mac(dims: Dimensions, rx: int, topo: str) -> CodeScheme:
+def _mac(dims: Dimensions) -> CodeScheme:
     total = min(2 * dims.m, dims.n)
     wa = min(dims.m, (total + 1) // 2)
-    wb = total - wa
-    return _single(dims, topo, ("a", 1, rx, _ident(wa)), ("b", 2, rx, _ident(wb)))
+    return _single(dims, "mac1", ("a", 1, 1, _ident(wa)), ("b", 2, 1, _ident(total - wa)))
 
 
-def _bc(dims: Dimensions, tx: int, topo: str) -> CodeScheme:
+def _bc(dims: Dimensions) -> CodeScheme:
     m, n = dims.m, dims.n
     side = min(max(m - n, 0), n)
     mid = min(m, 2 * n) - 2 * side
-    # null(h(to rx2)) keeps a private to rx1; null(h(to rx1)) keeps c private
-    # to rx2; the shared part b is decoded by rx1 and projected out by rx2.
-    ch_rx2 = 3 if tx == 1 else 4
-    ch_rx1 = 1 if tx == 1 else 2
-    return _single(
-        dims,
-        topo,
-        ("a", tx, 1, _null(ch_rx2, side)),
-        ("b", tx, 1, _ident(mid)),
-        ("c", tx, 2, _null(ch_rx1, side)),
-    )
+    # null(h21) keeps a private to rx1; null(h11) keeps c private to rx2;
+    # the shared part b is decoded by rx1 and projected out by rx2.
+    streams = ("a", 1, 1, _null(3, side)), ("b", 1, 1, _ident(mid)), ("c", 1, 2, _null(1, side))
+    return _single(dims, "bc1", *streams)
 
 
-def _par(dims: Dimensions, direct: bool, topo: str) -> CodeScheme:
+def _par(dims: Dimensions) -> CodeScheme:
     w = min(dims.m, dims.n)
-    rx_of_tx1 = 1 if direct else 2
-    rx_of_tx2 = 2 if direct else 1
-    return _single(dims, topo, ("a", 1, rx_of_tx1, _ident(w)), ("b", 2, rx_of_tx2, _ident(w)))
+    return _single(dims, "par_direct", ("a", 1, 1, _ident(w)), ("b", 2, 2, _ident(w)))
 
 
-# For each one-off-link topology: (rx seeing both tx, rx seeing one tx, tx
-# seen by the solo rx). The receiver at the far end of the off link sees a
-# single transmitter and takes a full load; the other transmitter hides
-# behind a null space.
-_Z_TABLE = {
-    "z1": (1, 2, 2),
-    "z2": (2, 1, 2),
-    "z3": (2, 1, 1),
-    "z4": (1, 2, 1),
-}
-
-# null channel hiding the solo-side signal from the two-link receiver
-_Z_NULL = {"z1": 2, "z2": 4, "z3": 3, "z4": 1}
-
-
-def _z_single(dims: Dimensions, topo: str) -> CodeScheme:
+def _z_single(dims: Dimensions) -> CodeScheme:
+    """z1: rx1 hears both transmitters, rx2 hears only tx2."""
     m, n = dims.m, dims.n
-    both_rx, solo_rx, solo_tx = _Z_TABLE[topo]
     if m >= n:
-        # the transmitter heard only by the two-link receiver loads it with n
-        # clear streams; the shared transmitter squeezes min(m - n, n) more to
-        # its solo receiver behind the null space of its link to the other one
-        other_tx = 2 if solo_tx == 1 else 1
-        return _single(
-            dims,
-            topo,
-            ("a", other_tx, both_rx, _ident(n)),
-            ("u", solo_tx, solo_rx, _null(_Z_NULL[topo], min(m - n, n))),
-        )
-    # m < n: the two-link receiver decodes a joint load min(2m, n).
-    return _single(dims, topo, ("g", 1, both_rx, _ident(m)), ("h", 2, both_rx, _ident(min(m, n - m))))
+        # tx1, heard only by rx1, loads it with n clear streams; tx2 squeezes
+        # min(m - n, n) more to rx2 behind null(h12), hidden from rx1
+        return _single(dims, "z1", ("a", 1, 1, _ident(n)), ("u", 2, 2, _null(2, min(m - n, n))))
+    # m < n: rx1 decodes a joint load min(2m, n).
+    return _single(dims, "z1", ("g", 1, 1, _ident(m)), ("h", 2, 1, _ident(min(m, n - m))))
 
 
 def _full(dims: Dimensions) -> CodeScheme:
@@ -190,6 +209,18 @@ def _full(dims: Dimensions) -> CodeScheme:
     )
 
 
+# each orbit representative's one-slot code
+_REPRESENTATIVES = {
+    "empty": lambda dims: _single(dims, "empty"),
+    "s11": _single_link,
+    "mac1": _mac,
+    "bc1": _bc,
+    "par_direct": _par,
+    "z1": _z_single,
+    "f": _full,
+}
+
+
 @lru_cache(maxsize=_SHAPE_CACHE)
 def build_f_fallback(dims: Dimensions) -> CodeScheme:
     """Best single-slot load on the all-links topology at awkward shapes.
@@ -200,18 +231,16 @@ def build_f_fallback(dims: Dimensions) -> CodeScheme:
     symbols; raises when n > 2m, where the standalone all-links code applies.
     """
     if dims.m >= dims.n:
-        scheme = _bc(dims, 1, "f")
+        scheme = _bc(dims)
     elif dims.n > 2 * dims.m:
         raise ValueError("fallback all-links code needs min/max above 1/2")
     else:
-        scheme = _mac(dims, 1, "f")
-    return replace(scheme, name="f_fallback")
+        scheme = _mac(dims)
+    return replace(scheme, name="f_fallback", slot_topologies=("f",))
 
 
 @lru_cache(maxsize=_SHAPE_CACHE)
-def build_single_topology_code(
-    topology: Union[str, Topology], dims: Dimensions
-) -> CodeScheme:
+def build_single_topology_code(topology: Union[str, Topology], dims: Dimensions) -> CodeScheme:
     """One-slot code for a fixed topology.
 
     Unsupported only for the all-links topology at shapes where neither
@@ -221,31 +250,9 @@ def build_single_topology_code(
     name = topology.name if isinstance(topology, Topology) else topology
     if name not in TOPOLOGIES:
         raise ValueError(f"unknown topology {name!r}")
-    if name == "empty":
-        return _single(dims, name)
-    if name == "s11":
-        return _single_link(dims, 1, 1, name)
-    if name == "s12":
-        return _single_link(dims, 2, 1, name)
-    if name == "s21":
-        return _single_link(dims, 1, 2, name)
-    if name == "s22":
-        return _single_link(dims, 2, 2, name)
-    if name == "mac1":
-        return _mac(dims, 1, name)
-    if name == "mac2":
-        return _mac(dims, 2, name)
-    if name == "bc1":
-        return _bc(dims, 1, name)
-    if name == "bc2":
-        return _bc(dims, 2, name)
-    if name == "par_direct":
-        return _par(dims, True, name)
-    if name == "par_cross":
-        return _par(dims, False, name)
-    if name in _Z_TABLE:
-        return _z_single(dims, name)
-    return _full(dims)
+    rep, swap_tx, swap_rx = _IMAGES.get(name, (name, False, False))
+    scheme = _REPRESENTATIVES[rep](dims)
+    return scheme if rep == name else _relabel(scheme, f"single_{name}", swap_tx, swap_rx)
 
 
 # ---------------------------------------------------------------------------
@@ -257,40 +264,34 @@ def build_single_topology_code(
 def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
     """Two-slot code reusing one variable across a matched topology pair.
 
-    pair selects ("z1","z2") or ("z3","z4"). Requires min/max above 1/2;
-    delivers 2 min + max symbols over the two slots.
+    pair selects ("z1","z2") or ("z3","z4"); z34 is the image of z12.
+    Requires min/max above 1/2; delivers 2 min + max symbols over the two
+    slots.
     """
     m, n = dims.m, dims.n
     if 2 * min(m, n) <= max(m, n):
         raise ValueError("paired code needs min/max antenna ratio above 1/2")
     if pair not in ("z12", "z34"):
         raise ValueError("pair must be 'z12' or 'z34'")
-    slots = ("z1", "z2") if pair == "z12" else ("z3", "z4")
 
-    if pair == "z12":
-        # reused variable c and helpers b, e ride on tx2; a, d are tx1 loads
-        load_tx, help_tx = 1, 2
-        null_first, null_second = 2, 4  # hide b from rx1 in z1, e from rx1 in z2
-        first_solo_rx, second_solo_rx = 2, 1
-    else:
-        load_tx, help_tx = 2, 1
-        null_first, null_second = 3, 1  # hide b from rx2 in z3, e from rx2 in z4
-        first_solo_rx, second_solo_rx = 1, 2
-
+    # tx1 sends a to rx1 in z1 and d to rx2 in z2; tx2 sends c to rx2 in both
+    # slots, and helpers b to rx2 in z1 and e to rx1 in z2. When m >= n, b
+    # hides from rx1 in null(h12) and e from rx2 in null(h22).
     lo, hi = min(m, n), max(m, n)
     wb, wc = hi - lo, 2 * lo - hi
     if m >= n:
-        car_b, car_c, car_e = _null(null_first, wb), _ident(wc), _null(null_second, wb)
+        car_b, car_c, car_e = _null(2, wb), _ident(wc), _null(4, wb)
     else:
         car_b, car_c, car_e = _ident(wb), _ident(wc, start=wb), _ident(wb)
     variables = [
-        Variable("a", load_tx, 3 - first_solo_rx, _ident(lo), (0,)),
-        Variable("b", help_tx, first_solo_rx, car_b, (0,)),
-        Variable("c", help_tx, first_solo_rx, car_c, (0, 1)),
-        Variable("d", load_tx, first_solo_rx, _ident(lo), (1,)),
-        Variable("e", help_tx, second_solo_rx, car_e, (1,)),
+        Variable("a", 1, 1, _ident(lo), (0,)),
+        Variable("b", 2, 2, car_b, (0,)),
+        Variable("c", 2, 2, car_c, (0, 1)),
+        Variable("d", 1, 2, _ident(lo), (1,)),
+        Variable("e", 2, 1, car_e, (1,)),
     ]
-    return _scheme(f"pair_{pair}", dims, slots, variables)
+    scheme = _scheme("pair_z12", dims, ("z1", "z2"), variables)
+    return scheme if pair == "z12" else _relabel(scheme, "pair_z34", *_IMAGES["z34"][1:])
 
 
 # ---------------------------------------------------------------------------

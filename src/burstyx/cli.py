@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .builders import (
     build_block_ia_precoder,
+    build_f_fallback,
     build_refined_ia_precoder,
     build_single_topology_code,
     build_z_pair_code,
@@ -53,7 +54,18 @@ _SERIES: Dict[str, Callable[[float, float], float]] = {
     "baseline": baseline_normalized,
 }
 
-_CONSTRUCTIONS = ("z12", "z34", "zf", "ia_block", "ia_refined")
+# verify's labels, each building its code at a shape; a builder raises
+# ValueError where its code does not exist.
+_CONSTRUCTIONS: Dict[str, Callable] = {
+    "z12": lambda dims: build_z_pair_code(dims, "z12"),
+    "z34": lambda dims: build_z_pair_code(dims, "z34"),
+    "zf": build_zf_code,
+    "ia_block": build_block_ia_precoder,
+    "ia_refined": build_refined_ia_precoder,
+    "f_fallback": build_f_fallback,
+    **{f"single:{t}": (lambda dims, t=t: build_single_topology_code(t, dims)) for t in sorted(TOPOLOGIES)},
+}
+_CONSTRUCTION_CHOICES = ", ".join(_CONSTRUCTIONS) + "; singles means every single:<topology>"
 _MAX_ANTENNAS = 64
 _MAX_SEEDS = 100_000
 _MAX_TRIALS = 1_000
@@ -145,34 +157,19 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_construction(label: str, dims: Dimensions):
-    if label == "z12":
-        return build_z_pair_code(dims, "z12")
-    if label == "z34":
-        return build_z_pair_code(dims, "z34")
-    if label == "zf":
-        return build_zf_code(dims)
-    if label == "ia_block":
-        return build_block_ia_precoder(dims)
-    if label == "ia_refined":
-        return build_refined_ia_precoder(dims)
-    if label.startswith("single:"):
-        return build_single_topology_code(label.split(":", 1)[1], dims)
-    raise ValueError(f"unknown construction {label!r}")
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not 1 <= args.seeds <= _MAX_SEEDS:
         raise SystemExit(f"--seeds must lie in [1, {_MAX_SEEDS}]")
     if not 1 <= args.trials <= _MAX_TRIALS:
         raise SystemExit(f"--trials must lie in [1, {_MAX_TRIALS}]")
-    labels = [c.strip() for c in args.constructions.split(",") if c.strip()]
     expanded: List[str] = []
-    for label in labels:
+    for label in filter(None, (c.strip() for c in args.constructions.split(","))):
         if label == "singles":
-            expanded.extend(f"single:{t}" for t in sorted(TOPOLOGIES))
-        else:
+            expanded.extend(k for k in _CONSTRUCTIONS if k.startswith("single:"))
+        elif label in _CONSTRUCTIONS:
             expanded.append(label)
+        else:
+            raise SystemExit(f"unknown construction {label!r}; choose from {_CONSTRUCTION_CHOICES}")
     written = skipped = 0
     failed = False
     if args.json:
@@ -184,7 +181,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cases = []
         for label in expanded:
             try:
-                cases.append((label, _build_construction(label, dims), []))
+                cases.append((label, _CONSTRUCTIONS[label](dims), []))
             except ValueError as exc:
                 skip = {"construction": label, "shape": shape, "status": "skip", "reason": str(exc)}
                 cases.append((label, None, [skip]))
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--constructions",
         default="z12,z34,zf,ia_block,ia_refined,singles",
-        help=f"comma-separated from {_CONSTRUCTIONS + ('singles', 'single:<topology>')}",
+        help=f"comma-separated from {_CONSTRUCTION_CHOICES}",
     )
     v.add_argument("--seeds", type=int, default=3, help=f"channel draws per case, at most {_MAX_SEEDS}")
     v.add_argument("--trials", type=int, default=2, help=f"message draws per channel, at most {_MAX_TRIALS}")

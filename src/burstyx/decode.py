@@ -49,11 +49,11 @@ STRUCT_TOL = 1e-9
 
 
 class DecodeError(RuntimeError):
-    """A receiver cannot separate its variables; separation is its separation (0.0 if rank deficient)."""
+    """A receiver cannot separate its variables: its separation (0.0 if rank deficient) and null residual."""
 
-    def __init__(self, message: str, separation: float):
+    def __init__(self, message: str, separation: float, null_residual: float):
         super().__init__(message)
-        self.separation = separation
+        self.separation, self.null_residual = separation, null_residual
 
 
 @dataclass
@@ -104,7 +104,7 @@ def _receiver(eff: EffectiveChannel, rx: int) -> _Receiver:
         raise DecodeError(
             f"rx{rx} cannot separate its {desired.size} desired columns from "
             f"its interference (smallest singular value {separation:.3e} of scale)",
-            separation,
+            separation, residual / scale,
         )
     projected.setflags(write=False)
     rec = _Receiver(projected, solve, residual / scale, separation)
@@ -178,13 +178,13 @@ def verify_decodability(
 ) -> VerifyResult:
     """Decode random messages through the scheme on the given channels.
 
-    Each trial draws one fresh standard normal message, decodes it, and
-    holds it to rel_tol through reconstruction_error. The messages come
-    from child 1 of SeedSequence(seed), as in run_simulation, so they are
-    independent of sample_channels(dims, seed). The result carries the
-    worst reconstruction error and the structural metrics over all
-    trials; when a receiver cannot separate its variables, min_separation
-    is that receiver's. Raises ValueError when trials is below 1.
+    Each trial draws one fresh standard normal message, decodes it, and holds
+    it to rel_tol through reconstruction_error. The messages come from child 1
+    of SeedSequence(seed), as in run_simulation, so they are independent of
+    sample_channels(dims, seed). The result carries the worst reconstruction
+    error and the structural metrics over all trials; when a receiver cannot
+    separate its variables, min_separation and max_null_residual count that
+    receiver's. Raises ValueError when trials is below 1.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -204,6 +204,7 @@ def verify_decodability(
     except DecodeError as exc:
         result.ok, result.error = False, str(exc)
         result.min_separation = min(result.min_separation, exc.separation)
+        result.max_null_residual = max(result.max_null_residual, exc.null_residual)
     except ValueError as exc:
         result.ok, result.error = False, str(exc)
     if not result.ok:

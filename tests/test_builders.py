@@ -1,10 +1,12 @@
-"""Construction totals, preconditions, shape coverage, and the build cache."""
+"""Construction totals, preconditions, shape coverage, symmetry, and the build cache."""
 
 from functools import partial
 
+import numpy as np
 import pytest
 
 import burstyx as bx
+from burstyx.builders import _IMAGES
 
 PAIR_SHAPES = [(4, 3), (3, 2), (5, 4), (3, 4), (2, 3), (2, 2), (3, 3), (6, 6)]
 ZF_SHAPES = [(4, 3), (3, 4), (5, 4), (4, 5), (3, 3), (6, 6)]
@@ -85,11 +87,8 @@ def test_refined_precoder_preconditions():
 SINGLE_SHAPES = [(4, 3), (3, 4), (4, 2), (2, 4), (2, 2), (3, 3), (6, 6), (1, 1), (5, 4)]
 
 
-@pytest.mark.parametrize("shape", SINGLE_SHAPES)
-@pytest.mark.parametrize("name", sorted(bx.TOPOLOGIES))
-def test_single_slot_builders_match_symbol_table(shape, name):
-    """Every one-slot code delivers exactly its tabulated symbol count."""
-    m, n = shape
+def _check_single_slot_code(name, m, n):
+    """The one-slot code of name delivers exactly its tabulated symbol count."""
     dims = bx.Dimensions(m, n)
     want = bx.single_slot_symbols(name, m, n)
     try:
@@ -102,6 +101,26 @@ def test_single_slot_builders_match_symbol_table(shape, name):
     assert scheme.total_symbols == want
     assert scheme.n_slots == 1
     assert scheme.slot_topologies == (name,)
+
+
+@pytest.mark.parametrize("shape", SINGLE_SHAPES)
+@pytest.mark.parametrize("name", sorted(bx.TOPOLOGIES))
+def test_single_slot_builders_match_symbol_table(shape, name):
+    _check_single_slot_code(name, *shape)
+
+
+def test_every_shape_builds_the_tabulated_totals():
+    """At every m, n in 1..12: each one-slot code its tabulated count, each pair code 2 min + max."""
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for name in bx.TOPOLOGIES:
+                _check_single_slot_code(name, m, n)
+            for pair in ("z12", "z34"):
+                if 2 * min(m, n) > max(m, n):
+                    assert bx.build_z_pair_code(bx.Dimensions(m, n), pair).total_symbols == 2 * min(m, n) + max(m, n)
+                else:
+                    with pytest.raises(ValueError, match="ratio"):
+                        bx.build_z_pair_code(bx.Dimensions(m, n), pair)
 
 
 def test_single_symbol_table_values():
@@ -197,3 +216,60 @@ def test_cached_codes_carry_no_state_between_runs():
     warm = bx.run_simulation(dims, 0.7, 50_000, 11, decode_fraction=0.05).to_dict()
     assert bx.build_zf_code.cache_info().hits >= 1
     assert warm == cold
+
+
+def _build(label, dims):
+    """The code of a single-topology or pair label, as its public builder makes it."""
+    if label in ("z12", "z34"):
+        return bx.build_z_pair_code(dims, label)
+    return bx.build_single_topology_code(label, dims)
+
+
+def _swap_links(ch, swap_tx, swap_rx):
+    """The draw with the transmitters and/or receivers swapped: link (rx, tx) gets (rx', tx')'s matrix."""
+    flip = swap_tx + 2 * swap_rx
+    return bx.ChannelSet(ch.dims, *(ch.h(((k - 1) ^ flip) + 1) for k in range(1, 5)))
+
+
+def test_images_cover_every_topology_but_the_fixed_ones_once():
+    singles = [image for image in _IMAGES if image in bx.TOPOLOGIES]
+    reps = {_IMAGES[image][0] for image in singles}
+    assert not reps & set(_IMAGES)
+    assert sorted(singles + sorted(reps)) == sorted(set(bx.TOPOLOGIES) - {"empty", "f"})
+    assert _IMAGES["z34"] == ("z12", True, True)
+
+
+@pytest.mark.parametrize("image", sorted(_IMAGES))
+def test_image_effective_channel_equals_the_representatives_bit_for_bit(image):
+    """On the draw with its links swapped alike, an image's matrix is its representative's.
+
+    Under a receiver swap the two receivers' row blocks trade places, and
+    so do the columns each receiver decodes.
+    """
+    rep, swap_tx, swap_rx = _IMAGES[image]
+    checked = 0
+    for m in range(1, 13):
+        for n in range(1, 13):
+            dims = bx.Dimensions(m, n)
+            try:
+                source = _build(rep, dims)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _build(image, dims)
+                continue
+            scheme = _build(image, dims)
+            assert scheme.slot_topologies == ((image,) if image in bx.TOPOLOGIES else ("z3", "z4"))
+            assert scheme.total_symbols == source.total_symbols
+            ch = bx.sample_channels(dims, 100 * m + n)
+            want = bx.effective_channel(ch, source).matrix
+            if swap_rx:
+                half = want.shape[0] // 2
+                want = np.vstack([want[half:], want[:half]])
+            got = bx.effective_channel(_swap_links(ch, swap_tx, swap_rx), scheme).matrix
+            assert np.array_equal(got, want), (image, m, n)
+            # and each receiver decodes what its preimage decodes
+            for rx in (1, 2):
+                theirs = source.receiver_columns[3 - rx if swap_rx else rx][0]
+                assert np.array_equal(scheme.receiver_columns[rx][0], theirs), (image, m, n)
+            checked += 1
+    assert checked == (72 if image == "z34" else 144)

@@ -266,6 +266,46 @@ def test_verify_rejects_counts_above_the_ceilings(capsys, monkeypatch):
     assert drawn == [0]
 
 
+def test_verify_labels_come_from_one_table(capsys):
+    import burstyx.cli
+    import burstyx.sim
+
+    labels = list(burstyx.cli._CONSTRUCTIONS)
+    assert labels[:6] == ["z12", "z34", "zf", "ia_block", "ia_refined", "f_fallback"]
+    assert labels[6:] == [f"single:{t}" for t in sorted(bx.TOPOLOGIES)]
+    # every kind simulate schedules can be verified
+    assert all(k in labels or f"single:{k}" in labels for k in burstyx.sim._KINDS)
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert ", ".join(labels) in " ".join(capsys.readouterr().out.split())
+
+
+def test_verify_checks_the_all_links_fallback(capsys):
+    rc = main(["verify", "--shapes", "4x3,3x3,8x7,3x4,5x4", "--constructions", "f_fallback",
+               "--seeds", "2", "--trials", "1"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines[:2]] == [["ok", "f_fallback", "4x3"]] * 2
+    assert lines[-1] == "10 checks, 0 skipped, all ok"
+
+
+@pytest.mark.parametrize("label", ["zff", "single:zz", "singles,Z12"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_verify_rejects_unknown_labels_before_any_draw(capsys, monkeypatch, label, fmt):
+    import burstyx.cli
+
+    def stub(dims, seed):
+        raise AssertionError("drew a channel")
+
+    monkeypatch.setattr(burstyx.cli, "sample_channels", stub)
+    assert main(["verify", "--shapes", "4x3", "--constructions", label] + fmt) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = label.split(",")[-1]
+    assert f"unknown construction {bad!r}" in captured.err
+    assert ", ".join(burstyx.cli._CONSTRUCTIONS) in captured.err
+
+
 def test_verify_rejects_malformed_shape():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--shapes", "4y3"])

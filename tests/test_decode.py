@@ -485,6 +485,19 @@ def test_a_failed_draw_reports_the_failing_receivers_separation(seed, rx, separa
     assert res.min_separation == pytest.approx(separation, rel=1e-2)
 
 
+@pytest.mark.parametrize("seed,rx", [(7742, 1), (10872, 2)])
+def test_a_failed_draw_reports_the_failing_receivers_null_residual(seed, rx):
+    """The DecodeError carries the null residual too, so the result reads it, not 0.0."""
+    dims = bx.Dimensions(24, 18)
+    scheme, channels = bx.build_zf_code(dims), bx.sample_channels(dims, seed)
+    with pytest.raises(bx.DecodeError, match=f"rx{rx} cannot separate") as failed:
+        bx.sic_decode(bx.effective_channel(channels, scheme), np.zeros(scheme.total_symbols))
+    # about 1e-16 on these draws: round-off, far inside the gate
+    assert 0.0 < failed.value.null_residual < STRUCT_TOL
+    res = bx.verify_decodability(channels, scheme, trials=1, seed=seed)
+    assert res.max_null_residual == failed.value.null_residual
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 11: the native wide zf code's separation falls below the 1e-9 gate on this draw",
