@@ -1,5 +1,6 @@
 """Command line behavior: formatting, exit codes, and JSON output."""
 
+import argparse
 import json
 import os
 import select
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import burstyx as bx
+import burstyx.cli
 from burstyx.cli import _parse_shapes, main
 
 
@@ -69,6 +71,74 @@ def test_curves_output_is_stable(capsys):
     for line in first.strip().splitlines()[1:]:
         value = line.split(",")[2]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+# the sweeps whose step-0.001 output the benchmark holds as golden files
+_BENCH_SWEEPS = [("p", "0.5"), ("p", "0.75"), ("p", "0.9"), ("r", "0.3"), ("r", "0.5"), ("r", "0.8")]
+_SERIES = [
+    ("dof", bx.normalized_dof),
+    ("ub1", bx.upper_bound_a),
+    ("ub2", bx.upper_bound_b),
+    ("lb", bx.lower_bound),
+    ("baseline", bx.baseline_normalized),
+]
+
+
+def _reference_curves(sweep, fixed, step):
+    """curves' output, one row at a time, each formatting its own x."""
+    count = int(round(1.0 / step))
+    lines = ["x,series,value"]
+    for k in range(1 if sweep == "r" else 0, count + 1):
+        x = round(k * step, 12)
+        if x > 1.0:
+            continue
+        r, p = (x, fixed) if sweep == "r" else (fixed, x)
+        for name, series in _SERIES:
+            try:
+                value = series(r, p)
+            except ValueError:
+                continue
+            lines.append(f"{x:.12g},{name},{value:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("step", ["0.001", "0.25", "0.2"])
+@pytest.mark.parametrize("sweep,fixed", _BENCH_SWEEPS)
+def test_curves_equal_a_row_by_row_reference(capsys, sweep, fixed, step):
+    argv = ["curves", "--sweep", sweep, "--fixed", fixed, "--step", step, "--series", "dof,ub1,ub2,lb,baseline"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _reference_curves(sweep, float(fixed), float(step))
+
+
+def test_main_repeats_its_output_on_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    burstyx.cli.build_parser.cache_clear()
+    calls = [
+        ["table", "--m", "4", "--n", "3", "--p", "0.8", "--json"],
+        ["curves", "--sweep", "p", "--fixed", "0.75", "--step", "0.05"],
+        ["curves", "--sweep", "p", "--fixed", "0.75", "--step", "0.9"],  # main's usage error
+        ["table", "--m", "4", "--p", "0.5"],  # argparse's usage error
+    ]
+    runs = []
+    for _ in range(3):
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            runs.append((code, out.out, out.err))
+    assert built.count("burstyx") == 1
+    assert runs[:4] == runs[4:8] == runs[8:]
+    assert [code for code, _out, _err in runs[:4]] == [0, 0, 2, 2]
+    assert all(err for _code, _out, err in runs[2:4])
 
 
 def test_curves_rejects_unknown_series(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import burstyx as bx
+from burstyx.formulas import _lb, _ua, _ub
 
 R_GRID = np.arange(1, 101) / 100.0          # (0, 1]
 P_GRID = np.arange(0, 101) / 100.0          # [0, 1]
@@ -212,6 +213,16 @@ def test_gap_search_frozen_location():
     assert res.r == pytest.approx(0.815, abs=1e-9)
     assert res.p == pytest.approx(0.765, abs=1e-9)
     assert res.gap == pytest.approx(0.0512756, abs=1e-6)
+
+
+@pytest.mark.parametrize("step", [0.001, 0.005, 0.02, 0.25])
+def test_gap_search_equals_the_full_meshgrid_bit_for_bit(step):
+    k = np.arange(1, int(round(1.0 / step)) + 1)
+    grid = np.round(k * step, 12)
+    rr, pp = np.meshgrid(grid[(grid > 2.0 / 3.0) & (grid <= 1.0)], grid[(grid > 0.5) & (grid <= 1.0)], indexing="ij")
+    gap = 1.0 - _lb(rr, pp) / np.minimum(_ua(rr, pp), _ub(rr, pp))
+    idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    assert bx.max_gap_search(step) == bx.GapResult(float(rr[idx]), float(pp[idx]), float(gap[idx]))
 
 
 def test_gap_value_at_reference_point():

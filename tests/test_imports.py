@@ -1,6 +1,9 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and importing
+the package loads no more than it needs."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,16 @@ def test_no_unused_imports(path):
 def test_guard_flags_an_unused_import():
     source = "from typing import List, Optional\n\nx: List[int] = []\n"
     assert _unused_imports(source) == [(1, "Optional")]
+
+
+def test_importing_the_package_loads_neither_the_cli_nor_argparse():
+    """main builds its parser on first use, so `import burstyx` pays for no CLI."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import burstyx; "
+        "print(sorted({'burstyx.cli', 'argparse'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
