@@ -250,11 +250,9 @@ def build_single_topology_code(topology: Union[str, Topology], dims: Dimensions)
     name = topology.name if isinstance(topology, Topology) else topology
     if name not in TOPOLOGIES:
         raise ValueError(f"unknown topology {name!r}")
-    if name not in _IMAGES:
-        return _REPRESENTATIVES[name](dims)
-    rep, swap_tx, swap_rx = _IMAGES[name]
-    # the representative's cached code, so its images do not rebuild it
-    return _relabel(build_single_topology_code(rep, dims), f"single_{name}", swap_tx, swap_rx)
+    rep, swap_tx, swap_rx = _IMAGES.get(name, (name, False, False))
+    scheme = _REPRESENTATIVES[rep](dims)
+    return scheme if rep == name else _relabel(scheme, f"single_{name}", swap_tx, swap_rx)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +273,6 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
         raise ValueError("paired code needs min/max antenna ratio above 1/2")
     if pair not in ("z12", "z34"):
         raise ValueError("pair must be 'z12' or 'z34'")
-    if pair == "z34":
-        return _relabel(build_z_pair_code(dims, "z12"), "pair_z34", *_IMAGES["z34"][1:])
 
     # tx1 sends a to rx1 in z1 and d to rx2 in z2; tx2 sends c to rx2 in both
     # slots, and helpers b to rx2 in z1 and e to rx1 in z2. When m >= n, b
@@ -294,7 +290,8 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
         Variable("d", 1, 2, _ident(lo), (1,)),
         Variable("e", 2, 1, car_e, (1,)),
     ]
-    return _scheme("pair_z12", dims, ("z1", "z2"), variables)
+    scheme = _scheme("pair_z12", dims, ("z1", "z2"), variables)
+    return scheme if pair == "z12" else _relabel(scheme, "pair_z34", *_IMAGES["z34"][1:])
 
 
 # ---------------------------------------------------------------------------

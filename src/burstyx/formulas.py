@@ -232,7 +232,6 @@ def max_gap_search(step: float = 0.005) -> GapResult:
     against a row of p, which numpy broadcasts to the full grid, so the
     terms in p alone are computed once per p rather than once per grid
     point; each grid value is the one a full meshgrid gives, bit for bit.
-    A step of 0.001 (333 x 500 points) takes about 5 ms.
     """
     if not 0.0 < step <= 0.25:
         raise ValueError("step must lie in (0, 0.25]")

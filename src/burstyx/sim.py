@@ -8,7 +8,7 @@ code. schedule_codes walks the list once over a window's topology
 histogram and gives each kind as many blocks as the remaining counts
 allow. A kind exists at a shape exactly when its builder returns there, so
 the shape rules (antenna-ratio thresholds, the all-links special cases)
-live in the builders alone; which kinds exist is recorded once per shape.
+live in the builders alone.
 
 run_simulation draws the channels, the window's topology histogram (one
 multinomial draw; the scheduler reads nothing else) and the spot-check
@@ -24,13 +24,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Mapping, NamedTuple, Tuple, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Tuple, Union
 
 import numpy as np
 
 from .builders import (
-    _SHAPE_CACHE,
     build_f_fallback,
     build_single_topology_code,
     build_z_pair_code,
@@ -121,24 +119,6 @@ def _normalize_hist(
     return out
 
 
-@lru_cache(maxsize=_SHAPE_CACHE)
-def _existing_kinds(dims: Dimensions) -> FrozenSet[str]:
-    """The kinds whose builders return at this shape.
-
-    Recorded per shape because lru_cache keeps a builder's code but not its
-    ValueError, so a kind that does not exist would be built (and fail)
-    again on every schedule.
-    """
-    found = set()
-    for name, kind in _KINDS.items():
-        try:
-            kind.build(dims)
-        except ValueError:
-            continue
-        found.add(name)
-    return frozenset(found)
-
-
 def schedule_codes(
     hist: Mapping[Union[str, Topology], int], dims: Dimensions
 ) -> Allocation:
@@ -153,13 +133,14 @@ def schedule_codes(
     counts = _normalize_hist(hist)
     remaining = dict(counts)
     alloc = Allocation()
-    existing = _existing_kinds(dims)
     for name, kind in _KINDS.items():
-        if name not in existing:
-            continue
         blocks = min(remaining[t] // u for t, u in kind.uses.items())
         if blocks == 0:
             continue
+        try:
+            kind.build(dims)
+        except ValueError:
+            continue  # the kind does not exist at this shape
         alloc.blocks[name] = blocks
         for t, u in kind.uses.items():
             remaining[t] -= u * blocks

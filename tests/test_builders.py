@@ -208,22 +208,6 @@ def test_builder_cache_stays_bounded():
     assert info.currsize <= info.maxsize == 64
 
 
-def test_images_relabel_the_cached_representative():
-    dims = bx.Dimensions(4, 3)
-    for build in (bx.build_single_topology_code, bx.build_z_pair_code):
-        build.cache_clear()
-    for name in ("s12", "s21", "s22"):
-        bx.build_single_topology_code(name, dims)
-    bx.build_z_pair_code(dims, "z34")
-    # s11 is built on the first image's call and read from the cache by the other two
-    single = bx.build_single_topology_code.cache_info()
-    assert (single.misses, single.hits) == (4, 2)
-    pair = bx.build_z_pair_code.cache_info()
-    assert (pair.misses, pair.hits) == (2, 0)
-    bx.build_z_pair_code(dims, "z12")
-    assert bx.build_z_pair_code.cache_info().hits == 1
-
-
 def test_cached_codes_carry_no_state_between_runs():
     for build in _BUILDERS:
         build.func.cache_clear()

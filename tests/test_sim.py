@@ -59,32 +59,6 @@ def test_schedule_f_without_standalone_support_uses_fallback():
     assert alloc2.blocks == {"f": 4}
 
 
-def test_schedule_does_not_rebuild_kinds_that_do_not_exist(monkeypatch):
-    """lru_cache keeps no ValueError, so schedule_codes keeps which kinds exist per shape."""
-    log = []
-    for name in ("build_zf_code", "build_z_pair_code", "build_single_topology_code", "build_f_fallback"):
-        def logged(*args, real=getattr(burstyx.sim, name), name=name):
-            try:
-                scheme = real(*args)
-            except ValueError:
-                log.append(((name, *args), False))
-                raise
-            log.append(((name, *args), True))
-            return scheme
-
-        monkeypatch.setattr(burstyx.sim, name, logged)
-    burstyx.sim._existing_kinds.cache_clear()
-    dims = bx.Dimensions(4, 2)
-    hist = _hist(**{name: 10 for name in bx.TOPOLOGIES})
-    first = bx.schedule_codes(hist, dims)
-    raised = {call for call, ok in log if not ok}
-    log.clear()
-    second = bx.schedule_codes(hist, dims)
-    assert {call[0] for call in raised} == {"build_zf_code", "build_z_pair_code"}
-    assert raised.isdisjoint(call for call, _ok in log)
-    assert second == first
-
-
 def test_schedule_conserves_slots_on_random_hists():
     rng = np.random.default_rng(0)
     for _ in range(50):
