@@ -127,8 +127,12 @@ def topology_probability(t: Topology, p: float) -> float:
     """Probability p^k (1-p)^(4-k) of drawing t, k its number of on links."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    k = t.n_on
-    return float(p) ** k * (1.0 - float(p)) ** (4 - k)
+    return _topology_law(t.n_on, float(p))
+
+
+def _topology_law(k: int, p: float) -> float:
+    """p^k (1-p)^(4-k), unchecked; p is a float in [0, 1]."""
+    return p**k * (1.0 - p) ** (4 - k)
 
 
 _SAMPLE_CHUNK = 16_384  # slots per draw in sample_topology_indices

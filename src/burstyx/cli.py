@@ -41,22 +41,19 @@ from .builders import (
 )
 from .channel import Dimensions, TOPOLOGIES, sample_channels
 from .decode import verify_decodability
-from .formulas import (
-    baseline_normalized,
-    dof_profile,
-    lower_bound,
-    normalized_dof,
-    upper_bound_a,
-    upper_bound_b,
-)
+from .formulas import _baseline, _dof, _lb, _ua, _ub, dof_profile
 from .sim import run_simulation
 
-_SERIES: Dict[str, Callable[[float, float], float]] = {
-    "dof": normalized_dof,
-    "ub1": upper_bound_a,
-    "ub2": upper_bound_b,
-    "lb": lower_bound,
-    "baseline": baseline_normalized,
+# curves' series, each the unchecked expression of its public function
+# (normalized_dof, upper_bound_a, upper_bound_b, lower_bound,
+# baseline_normalized): curves checks --fixed and --step once and builds
+# only in-range points. dof is None where normalized_dof raises.
+_SERIES: Dict[str, Callable[[float, float], Optional[float]]] = {
+    "dof": _dof,
+    "ub1": _ua,
+    "ub2": _ub,
+    "lb": _lb,
+    "baseline": _baseline,
 }
 
 # verify's labels, each building its code at a shape; a builder raises
@@ -152,13 +149,11 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         points = [(x, fixed_r, x) for x in xs if x <= 1.0]
     lines = ["x,series,value"]
     for x, r, p in points:
-        x_text = _fmt(x)
+        x_text = f"{x:.12g}"
         for name in series:
-            try:
-                value = _SERIES[name](r, p)
-            except ValueError:
-                continue  # series undefined here (open regime)
-            lines.append(f"{x_text},{name},{_fmt(value)}")
+            value = _SERIES[name](r, p)
+            if value is not None:  # None: series undefined here (open regime)
+                lines.append(f"{x_text},{name},{value:.12g}")
     print("\n".join(lines))
     return 0
 

@@ -110,6 +110,31 @@ def test_curves_equal_a_row_by_row_reference(capsys, sweep, fixed, step):
     assert capsys.readouterr().out == _reference_curves(sweep, float(fixed), float(step))
 
 
+@pytest.mark.parametrize("sweep,fixed", _BENCH_SWEEPS)
+def test_series_expressions_equal_the_public_functions_bit_for_bit(sweep, fixed):
+    step, fixed = 0.001, float(fixed)
+    for k in range(1 if sweep == "r" else 0, 1001):
+        x = round(k * step, 12)
+        r, p = (x, fixed) if sweep == "r" else (fixed, x)
+        for name, series in _SERIES:
+            value = burstyx.cli._SERIES[name](r, p)
+            try:
+                want = series(r, p)
+            except ValueError:
+                assert name == "dof" and value is None, (name, r, p)
+                continue
+            assert value.hex() == want.hex(), (name, r, p)
+
+
+def test_readme_table_example_heads_the_output(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("$ burstyx table --m 4 --n 3 --p 0.5\n", 1)[1]
+    shown = block.split("  ...\n", 1)[0].splitlines()
+    assert len(shown) >= 4
+    assert main(["table", "--m", "4", "--n", "3", "--p", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[: len(shown)] == shown
+
+
 def test_main_repeats_its_output_on_one_parser(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -5,10 +5,13 @@ definitions and act as frozen oracles; any drift in the implementation
 shows up as an exact-value failure here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import burstyx as bx
+import burstyx.formulas
 from burstyx.formulas import _lb, _ua, _ub
 
 R_GRID = np.arange(1, 101) / 100.0          # (0, 1]
@@ -135,13 +138,24 @@ def test_lower_bound_sandwiched_by_uppers():
             assert lb <= cap + 1e-12
 
 
+_GAIN_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13)] + [(12, 23), (23, 12)]
+
+
 def test_baseline_never_beats_composite():
-    for m, n in [(4, 3), (4, 2), (3, 3), (5, 4)]:
+    """Coding across topologies gains strictly wherever r > 1/2 and
+    0 < p < 1; at r <= 1/2 single-slot codes already reach the composite
+    rate. The smallest relative margin, 4.15e-6, is at 12x23, p = 0.01."""
+    for m, n in _GAIN_SHAPES:
+        wide = 2 * min(m, n) <= max(m, n)
         for p in P_GRID:
-            assert (
-                bx.per_topology_baseline(m, n, p)
-                <= bx.composite_achievable(m, n, p) + 1e-9
-            )
+            baseline = bx.per_topology_baseline(m, n, p)
+            composite = bx.composite_achievable(m, n, p)
+            if wide:
+                assert abs(composite - baseline) <= 1e-12 * composite, (m, n, p)
+            elif 0.0 < p < 1.0:
+                assert composite > baseline, (m, n, p)
+            else:
+                assert baseline <= composite + 1e-9, (m, n, p)
 
 
 def test_baseline_routes_agree_off_square_multiples():
@@ -152,6 +166,16 @@ def test_baseline_routes_agree_off_square_multiples():
             direct = bx.per_topology_baseline(m, n, p)
             closed = max(m, n) * bx.baseline_normalized(r, p)
             assert abs(direct - closed) < 1e-12
+
+
+def test_baseline_equals_the_topology_weighted_sum_bit_for_bit():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for p in P_GRID:
+                want = 0.0
+                for name, topo in bx.TOPOLOGIES.items():
+                    want += bx.topology_probability(topo, p) * bx.single_slot_symbols(name, m, n)
+                assert bx.per_topology_baseline(m, n, p).hex() == want.hex(), (m, n, p)
 
 
 def test_baseline_square_multiple_uplift():
@@ -181,9 +205,10 @@ def test_input_validation():
 # -- profiles and the gap search --------------------------------------------
 
 def test_profile_regimes():
-    assert bx.dof_profile(4, 2, 0.9).regime == "low"
-    assert bx.dof_profile(4, 3, 0.3).regime == "mid"
-    assert bx.dof_profile(4, 3, 0.8).regime == "open"
+    for m, n, p, regime in [(4, 2, 0.9, "low"), (4, 3, 0.3, "mid"), (4, 3, 0.8, "open")]:
+        prof = bx.dof_profile(m, n, p)
+        assert prof.regime == regime
+        assert prof.to_dict() == dataclasses.asdict(prof)
     prof = bx.dof_profile(4, 3, 0.8)
     assert prof.dof is None
     assert prof.lb <= min(prof.ub1, prof.ub2) + 1e-12
@@ -198,6 +223,14 @@ def test_profile_to_dict_round_trip():
     assert d["composite"] == pytest.approx(4.0)
     assert d["regime"] == "mid"
     assert d["r"] == pytest.approx(0.75)
+
+
+def test_gap_search_rejects_steps_below_the_memory_floor(monkeypatch):
+    # the check comes before any grid: a numpy call here would fail otherwise
+    monkeypatch.setattr(burstyx.formulas, "np", None)
+    for step in (0.000999, 1e-4, 1e-6, 0.0, -0.01, 0.26, float("nan")):
+        with pytest.raises(ValueError, match=r"step must lie in \[0.001, 0.25\]"):
+            bx.max_gap_search(step)
 
 
 def test_gap_search_coarse_grid_sane():
