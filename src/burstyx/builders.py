@@ -53,9 +53,15 @@ __all__ = [
 
 
 # Each public builder is a pure function of its arguments and CodeScheme is
-# frozen, so a code is built once per shape and then shared. The bound keeps
-# memory flat when a caller sweeps many shapes.
-_SHAPE_CACHE = 64
+# frozen, so a code is built once per shape and then shared. The caches are
+# sized in shapes: each holds the keys of _SHAPE_CACHE shapes (16 topologies
+# or 2 pairs per shape). An LRU cycled over more keys than it holds never
+# hits, and a verify sweep asks for each code once per shape per round, so
+# 256 shapes keep a whole sweep cached (the benchmark's has 68 shapes,
+# m, n in 1..12 has 144). The bound keeps memory flat at the CLI's largest
+# shapes: every code with its columns and receiver columns, at the 256 shapes
+# m, n in 49..64, holds about 24 MB (tracemalloc).
+_SHAPE_CACHE = 256
 
 
 def _ident(width: int, start: int = 0) -> Carrier:
@@ -239,7 +245,7 @@ def build_f_fallback(dims: Dimensions) -> CodeScheme:
     return replace(scheme, name="f_fallback", slot_topologies=("f",))
 
 
-@lru_cache(maxsize=_SHAPE_CACHE)
+@lru_cache(maxsize=len(TOPOLOGIES) * _SHAPE_CACHE)
 def build_single_topology_code(topology: Union[str, Topology], dims: Dimensions) -> CodeScheme:
     """One-slot code for a fixed topology.
 
@@ -260,7 +266,7 @@ def build_single_topology_code(topology: Union[str, Topology], dims: Dimensions)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_SHAPE_CACHE)
+@lru_cache(maxsize=2 * _SHAPE_CACHE)
 def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
     """Two-slot code reusing one variable across a matched topology pair.
 

@@ -181,15 +181,19 @@ def sample_topology_counts(
     return {t: int(c) for t, c in zip(TOPOLOGY_BY_INDEX, counts)}
 
 
+_NAMES = ("h11", "h12", "h21", "h22")
+
+
 class ChannelSet:
     """The four fixed channel matrices of a run.
 
-    Attributes h11, h12, h21, h22 are read-only N x M arrays (receiver
-    index first). ``h(k)`` exposes the 1..4 alias ordering h11, h12, h21,
-    h22 used by the coding-scheme builders. ``bases`` memoizes what
-    depends only on the draw (pseudo-inverse, null and paired bases, filled
-    by schemes.Carrier.materialize); the matrices are read-only, so an
-    entry can never go stale.
+    Attributes h11, h12, h21, h22 are N x M arrays (receiver index first),
+    the four read-only views of one copy of the caller's matrices. ``h(k)``
+    exposes the 1..4 alias ordering h11, h12, h21, h22 used by the
+    coding-scheme builders. ``bases`` memoizes what depends only on the
+    draw (pseudo-inverse, null and paired bases, filled by
+    schemes.Carrier.materialize); the matrices are read-only, so an entry
+    can never go stale.
     """
 
     def __init__(
@@ -201,18 +205,16 @@ class ChannelSet:
         h22: np.ndarray,
     ) -> None:
         shape = (dims.n, dims.m)
-        mats = []
-        for name, h in (("h11", h11), ("h12", h12), ("h21", h21), ("h22", h22)):
-            h = np.asarray(h, dtype=float)
-            if h.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {h.shape}")
-            if not np.all(np.isfinite(h)):
-                raise ValueError(f"{name} contains non-finite entries")
-            h = h.copy()
-            h.setflags(write=False)
-            mats.append(h)
+        for name, h in zip(_NAMES, (h11, h12, h21, h22)):
+            if np.shape(h) != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {np.shape(h)}")
+        stack = np.array((h11, h12, h21, h22), dtype=float)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"{_NAMES[np.argmin(finite)]} contains non-finite entries")
+        stack.setflags(write=False)
         self.dims = dims
-        self.h11, self.h12, self.h21, self.h22 = mats
+        self.h11, self.h12, self.h21, self.h22 = stack
         self.bases: Dict[tuple, object] = {}
 
     def h(self, k: int) -> np.ndarray:
@@ -226,11 +228,22 @@ class ChannelSet:
         return self.h(2 * (rx - 1) + tx)
 
 
+def _full_rank(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (k, N, M) stack has rank min(N, M).
+
+    This is np.linalg.matrix_rank's verdict at its default tolerance, from
+    one batched SVD without vectors: the smallest singular value must exceed
+    the largest times max(N, M) eps, so a zero matrix is deficient.
+    """
+    s = np.linalg.svd(mats, compute_uv=False)
+    return s[:, -1] > s[:, 0] * max(mats.shape[1:]) * np.finfo(float).eps
+
+
 def sample_channels(dims: Dimensions, seed: int) -> ChannelSet:
     """Draw the four N x M matrices with i.i.d. standard normal entries.
 
     The four matrices are one (4, N, M) draw, the stream four (N, M) draws
-    in turn would consume, and their ranks are checked in one call. A
+    in turn would consume, and their ranks are checked on one batched SVD. A
     matrix that is not of full rank min(M, N) (a practically impossible
     event) is re-drawn after all four, in alias order, not in place, so
     downstream constructions can rely on genericity.
@@ -239,7 +252,7 @@ def sample_channels(dims: Dimensions, seed: int) -> ChannelSet:
     shape = (dims.n, dims.m)
     mats = rng.standard_normal((4,) + shape)
     for _attempt in range(100):
-        deficient = np.flatnonzero(np.linalg.matrix_rank(mats) != min(shape))
+        deficient = np.flatnonzero(~_full_rank(mats))
         if deficient.size == 0:
             return ChannelSet(dims, *mats)
         mats[deficient] = rng.standard_normal((deficient.size,) + shape)

@@ -140,9 +140,13 @@ def composite_achievable(m: int, n: int, p: float) -> float:
     """
     _check_shape(m, n)
     _check_p(p)
+    return _composite(m, n, p)
+
+
+def _composite(m, n, p):
     mn, mx = min(m, n), max(m, n)
     if 3 * mn <= 2 * mx or p <= 0.5:
-        return 2.0 * rate_pair_bound(m, n, p)
+        return 2.0 * _rate_pair(m, n, p)
     q = 1.0 - p
     return (
         4.0 * mn * p * q**3
@@ -161,6 +165,10 @@ def rate_pair_bound(m: int, n: int, p: float) -> float:
     max(m, n) recovers the exact normalized DoF and upper_bound_a."""
     _check_shape(m, n)
     _check_p(p)
+    return _rate_pair(m, n, p)
+
+
+def _rate_pair(m, n, p):
     mn, mx = min(m, n), max(m, n)
     q = 1.0 - p
     if 2 * mn <= mx:
@@ -173,6 +181,10 @@ def three_rate_bound(m: int, n: int, p: float) -> float:
     recovers upper_bound_b."""
     _check_shape(m, n)
     _check_p(p)
+    return _three_rate(m, n, p)
+
+
+def _three_rate(m, n, p):
     mn, mx = min(m, n), max(m, n)
     q = 1.0 - p
     return p * p * mx + 3.0 * p * q * mn
@@ -222,6 +234,10 @@ def per_topology_baseline(m: int, n: int, p: float) -> float:
     """Expected per-slot sum DoF when every slot is coded in isolation."""
     _check_shape(m, n)
     _check_p(p)
+    return _topology_sum(m, n, p)
+
+
+def _topology_sum(m, n, p):
     law = [_topology_law(k, float(p)) for k in range(5)]  # by on-link count
     total = 0.0
     for name, k in _ON_LINKS:
@@ -301,7 +317,11 @@ class DofProfile:
 
 
 def dof_profile(m: int, n: int, p: float) -> DofProfile:
-    """Evaluate every closed form at one shape and probability."""
+    """Evaluate every closed form at one shape and probability.
+
+    Checks the shape and p once, then evaluates each form's unchecked
+    expression, the body its public function runs after the same checks.
+    """
     _check_shape(m, n)
     _check_p(p)
     mn, mx = min(m, n), max(m, n)
@@ -312,19 +332,18 @@ def dof_profile(m: int, n: int, p: float) -> DofProfile:
         regime = "open"
     else:
         regime = "mid"
-    dof = None if regime == "open" else normalized_dof(r, p)
     return DofProfile(
         m=m,
         n=n,
         p=p,
         r=r,
         regime=regime,
-        dof=dof,
-        ub1=upper_bound_a(r, p),
-        ub2=upper_bound_b(r, p),
-        lb=lower_bound(r, p),
-        baseline=per_topology_baseline(m, n, p) / mx,
-        composite=composite_achievable(m, n, p),
-        pair_bound=rate_pair_bound(m, n, p),
-        triple_bound=three_rate_bound(m, n, p),
+        dof=_dof(r, p),
+        ub1=_ua(r, p),
+        ub2=_ub(r, p),
+        lb=_lb(r, p),
+        baseline=_topology_sum(m, n, p) / mx,
+        composite=_composite(m, n, p),
+        pair_bound=_rate_pair(m, n, p),
+        triple_bound=_three_rate(m, n, p),
     )

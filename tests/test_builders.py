@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import burstyx as bx
-from burstyx.builders import _IMAGES
+import burstyx.builders
+import burstyx.cli
+from burstyx.builders import _IMAGES, _SHAPE_CACHE
 
 PAIR_SHAPES = [(4, 3), (3, 2), (5, 4), (3, 4), (2, 3), (2, 2), (3, 3), (6, 6)]
 ZF_SHAPES = [(4, 3), (3, 4), (5, 4), (4, 5), (3, 3), (6, 6)]
@@ -185,11 +187,21 @@ _BUILDERS = [
 ]
 
 
+# each builder's cache holds _SHAPE_CACHE shapes at this many keys per shape: a finite bound
+_KEYS_PER_SHAPE = {"build_single_topology_code": len(bx.TOPOLOGIES), "build_z_pair_code": 2}
+
+
+def _cache_bound(func):
+    return _KEYS_PER_SHAPE.get(func.__name__, 1) * _SHAPE_CACHE
+
+
 @pytest.mark.parametrize("build", _BUILDERS, ids=lambda b: b.func.__name__)
 def test_equal_shapes_share_one_built_code(build):
     first = build(bx.Dimensions(4, 3))
     assert build(bx.Dimensions(4, 3)) is first
-    assert build.func.cache_info().maxsize == 64
+    info = build.func.cache_info()
+    assert info.maxsize == _cache_bound(build.func)
+    assert info.currsize <= info.maxsize
 
 
 def test_infeasible_shape_raises_on_every_call():
@@ -205,7 +217,31 @@ def test_builder_cache_stays_bounded():
         for n in range(1, 12):
             bx.build_single_topology_code("bc1", bx.Dimensions(m, n))
     info = bx.build_single_topology_code.cache_info()
-    assert info.currsize <= info.maxsize == 64
+    assert info.maxsize == _cache_bound(bx.build_single_topology_code)
+    assert info.currsize <= info.maxsize
+
+
+def test_second_sweep_of_every_verify_label_hits_the_caches():
+    """81 shapes (more than the old 64-entry bound) x every verify label, twice."""
+    builders = [getattr(bx, name) for name in burstyx.builders.__all__]
+    for build in builders:
+        build.cache_clear()
+    shapes = [bx.Dimensions(m, n) for m in range(1, 10) for n in range(1, 10)]
+    built = {}
+    for dims in shapes:
+        for label, build in burstyx.cli._CONSTRUCTIONS.items():
+            try:
+                code = build(dims)
+            except ValueError:
+                continue
+            code.receiver_columns  # built here, once per cached code
+            built[label, dims] = code
+    misses = [build.cache_info().misses for build in builders]
+    for (label, dims), code in built.items():
+        again = burstyx.cli._CONSTRUCTIONS[label](dims)
+        assert again is code, (label, dims)
+        assert "receiver_columns" in vars(again), (label, dims)
+    assert [build.cache_info().misses for build in builders] == misses
 
 
 def test_cached_codes_carry_no_state_between_runs():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import burstyx as bx
+from burstyx.channel import _full_rank
 
 # name -> (s11, s12, s21, s22) index under 8*s11 + 4*s12 + 2*s21 + s22
 EXPECTED_INDEX = {
@@ -208,3 +209,41 @@ def test_channels_deterministic_and_readonly():
         assert np.array_equal(a.h(k), b.h(k))
     with pytest.raises(ValueError):
         a.h(1)[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("fault", ["shape", "nan", "inf"])
+def test_channel_set_names_the_faulty_matrix(k, fault):
+    mats = [np.ones((3, 4)) for _ in range(4)]
+    if fault == "shape":
+        mats[k - 1] = np.ones((4, 3))
+    else:
+        mats[k - 1][1, 2] = np.nan if fault == "nan" else -np.inf
+    with pytest.raises(ValueError, match=("h11", "h12", "h21", "h22")[k - 1]):
+        bx.ChannelSet(bx.Dimensions(4, 3), *mats)
+
+
+def test_channel_set_copies_the_callers_matrices_read_only():
+    mats = [np.full((3, 4), float(k)) for k in range(1, 5)]
+    ch = bx.ChannelSet(bx.Dimensions(4, 3), *mats)
+    for h in mats:
+        h[...] = -1.0
+    for k in range(1, 5):
+        h = ch.h(k)
+        assert np.array_equal(h, np.full((3, 4), float(k)))
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_rank_verdict_equals_matrix_rank(m):
+    rng = np.random.Generator(np.random.Philox(m))
+    for n in range(1, 7):
+        stack = rng.standard_normal((5, n, m))
+        stack[1, -1] = stack[1, 0]  # two equal rows when n > 1
+        stack[2] = 0.0
+        stack[3] *= 1e-300  # tiny but generic: the tolerance is relative
+        expected = [np.linalg.matrix_rank(h) == min(n, m) for h in stack]
+        assert _full_rank(stack).tolist() == expected, (m, n)
+        assert expected[0] and not expected[2]

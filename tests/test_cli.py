@@ -126,13 +126,32 @@ def test_series_expressions_equal_the_public_functions_bit_for_bit(sweep, fixed)
             assert value.hex() == want.hex(), (name, r, p)
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def test_readme_table_example_heads_the_output(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("$ burstyx table --m 4 --n 3 --p 0.5\n", 1)[1]
+    block = _readme().split("$ burstyx table --m 4 --n 3 --p 0.5\n", 1)[1]
     shown = block.split("  ...\n", 1)[0].splitlines()
     assert len(shown) >= 4
     assert main(["table", "--m", "4", "--n", "3", "--p", "0.5"]) == 0
     assert capsys.readouterr().out.splitlines()[: len(shown)] == shown
+
+
+def test_readme_verify_example_opens_and_closes_the_output(capsys):
+    command = "burstyx verify --shapes 4x3,3x4,3x3 --constructions z12,z34,zf,ia_block,ia_refined --seeds 3"
+    block = _readme().split(f"$ {command}\n", 1)[1].split("```", 1)[0]
+    first, ellipsis, last = block.splitlines()
+    assert ellipsis == "..." and last == "39 checks, 2 skipped, all ok"
+    assert main(command.split()[1:]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert (out[0], out[-1]) == (first, last)
+
+
+def test_readme_library_example_runs():
+    block = _readme().split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert "bx.verify_decodability" in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_main_repeats_its_output_on_one_parser(capsys, monkeypatch):
