@@ -212,6 +212,16 @@ class ChannelSet:
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"{_NAMES[np.argmin(finite)]} contains non-finite entries")
+        self._adopt(dims, stack)
+
+    @classmethod
+    def _of_stack(cls, dims: Dimensions, stack: np.ndarray) -> "ChannelSet":
+        """A set over a fresh finite (4, N, M) float stack, unchecked and not copied."""
+        channels = cls.__new__(cls)
+        channels._adopt(dims, stack)
+        return channels
+
+    def _adopt(self, dims: Dimensions, stack: np.ndarray) -> None:
         stack.setflags(write=False)
         self.dims = dims
         self.h11, self.h12, self.h21, self.h22 = stack
@@ -243,10 +253,11 @@ def sample_channels(dims: Dimensions, seed: int) -> ChannelSet:
     """Draw the four N x M matrices with i.i.d. standard normal entries.
 
     The four matrices are one (4, N, M) draw, the stream four (N, M) draws
-    in turn would consume, and their ranks are checked on one batched SVD. A
-    matrix that is not of full rank min(M, N) (a practically impossible
-    event) is re-drawn after all four, in alias order, not in place, so
-    downstream constructions can rely on genericity.
+    in turn would consume, and their ranks are checked on one batched SVD;
+    the set keeps that stack, read-only, without a second copy. A matrix
+    that is not of full rank min(M, N) (a practically impossible event) is
+    re-drawn after all four, in alias order, not in place, so downstream
+    constructions can rely on genericity.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     shape = (dims.n, dims.m)
@@ -254,6 +265,6 @@ def sample_channels(dims: Dimensions, seed: int) -> ChannelSet:
     for _attempt in range(100):
         deficient = np.flatnonzero(~_full_rank(mats))
         if deficient.size == 0:
-            return ChannelSet(dims, *mats)
+            return ChannelSet._of_stack(dims, mats)
         mats[deficient] = rng.standard_normal((deficient.size,) + shape)
     raise RuntimeError("could not draw a full-rank channel matrix")  # pragma: no cover

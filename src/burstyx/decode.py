@@ -7,7 +7,7 @@ rank(H_I) = |D_j|, the linear decodability condition of Cadambe & Jafar
 (IEEE T-IT 2008). No receiver uses anything the other one solved.
 
 The work that depends only on the effective channel is done once per
-receiver and memoized in eff.receivers, read-only (see _receiver):
+receiver and memoized in eff.receivers, read-only, by factor_receivers:
 
 - scale = max(1, ||rows||_F). Interference columns of norm at most
   STRUCT_TOL * scale (links that are off, or zero-forced) are dropped;
@@ -23,6 +23,14 @@ receiver and memoized in eff.receivers, read-only (see _receiver):
   value over scale is the receiver's separation; at or below STRUCT_TOL
   the receiver cannot decode and DecodeError names it.
 
+factor_receivers does this for every receiver of several effective
+channels at once: run_simulation passes it every scheduled kind of a run,
+so each receiver is factored once per run. At these sizes a LAPACK call
+costs mostly its call overhead, so the SVDs are stacked, one per distinct
+shape; each receiver's results are bit for bit those of factoring it
+alone. sic_decode factors a channel it finds unfactored the same way, and
+raises a receiver's DecodeError when it reaches that receiver.
+
 The memo keeps the receiver's projected rows P H, with P = I - U_r U_r^T,
 so each call projects y_j as one product (P H) x and solves with the
 cached factorization, whose residual check holds every column to
@@ -34,8 +42,10 @@ share. Every check is written as ``not value <= tol``, so a NaN fails it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +53,15 @@ from .channel import ChannelSet
 from .linalg import solve_exact
 from .schemes import CodeScheme, EffectiveChannel, effective_channel
 
-__all__ = ["DecodeError", "DecodeMetrics", "VerifyResult", "reconstruction_error", "sic_decode", "verify_decodability"]
+__all__ = [
+    "DecodeError",
+    "DecodeMetrics",
+    "VerifyResult",
+    "factor_receivers",
+    "reconstruction_error",
+    "sic_decode",
+    "verify_decodability",
+]
 
 STRUCT_TOL = 1e-9
 
@@ -71,44 +89,93 @@ class _Receiver(NamedTuple):
     separation: float
 
 
+def factor_receivers(effs: Sequence[EffectiveChannel]) -> Dict[Tuple[int, int], DecodeError]:
+    """Factor every receiver of the effective channels that is not memoized yet.
+
+    A receiver with no desired column is skipped, as sic_decode skips it.
+    The work is stacked by shape: one np.linalg.svd per distinct shape of
+    live interference, and one solve_exact per distinct shape of projected
+    desired columns, so each receiver's results are bit for bit those of
+    factoring it alone. Each receiver that separates its variables is
+    memoized in its eff.receivers, with read-only arrays; eff.matrix is
+    read-only, so an entry cannot go stale. Raises nothing: a receiver that
+    cannot separate its variables is left out of the memo, and its
+    DecodeError is returned under (index of its channel in effs, rx).
+    """
+    # One job per receiver: index (of its channel in effs), rx, rows (its
+    # rows; once the interference is projected out, P H), desired, scale,
+    # residual (so far) and live (the interference columns above the cutoff).
+    jobs = []
+    for index, eff in enumerate(effs):
+        height = eff.matrix.shape[0] // 2
+        for rx in (1, 2):
+            desired, interference = eff.scheme.receiver_columns[rx]
+            if rx in eff.receivers or not desired.size:
+                continue
+            h = eff.matrix[(rx - 1) * height : rx * height]
+            col_sq = np.square(h).sum(axis=0)
+            scale = max(1.0, float(np.sqrt(col_sq.sum())))
+            norms = np.sqrt(col_sq[interference])
+            cutoff = STRUCT_TOL * scale
+            residual = float(norms[norms <= cutoff].max(initial=0.0))
+            live = interference[norms > cutoff]
+            jobs.append(SimpleNamespace(
+                index=index, rx=rx, rows=h, desired=desired, scale=scale, residual=residual, live=live
+            ))
+
+    for group in _by_shape((job for job in jobs if job.live.size), lambda job: job.live.size):
+        u, s, _vt = np.linalg.svd(_stack([job.rows[:, job.live] for job in group]), full_matrices=False)
+        for job, u_j, s_j in zip(group, u, s):
+            cutoff = STRUCT_TOL * job.scale
+            job.residual = max(job.residual, float(s_j[s_j <= cutoff].max(initial=0.0)))
+            basis = u_j[:, s_j > cutoff]
+            if basis.shape[1]:
+                job.rows = job.rows - basis @ (basis.T @ job.rows)
+
+    failures = {}
+    for group in _by_shape(jobs, lambda job: job.desired.size):
+        solves, sv = solve_exact(_stack([job.rows[:, job.desired] for job in group]))
+        for job, solve, sv_j in zip(group, solves, sv):
+            separation = 0.0 if solve is None else float(sv_j[-1]) / job.scale  # None: column-rank deficient
+            if not separation > STRUCT_TOL:
+                failures[job.index, job.rx] = DecodeError(
+                    f"rx{job.rx} cannot separate its {job.desired.size} desired columns from "
+                    f"its interference (smallest singular value {separation:.3e} of scale)",
+                    separation, job.residual / job.scale,
+                )
+                continue
+            job.rows.setflags(write=False)
+            rec = _Receiver(job.rows, solve, job.residual / job.scale, separation)
+            effs[job.index].receivers[job.rx] = rec
+    return failures
+
+
+def _by_shape(jobs: Iterable[SimpleNamespace], width: Callable[[SimpleNamespace], int]) -> Iterable[list]:
+    """The jobs grouped by (rows, width), in order of first appearance."""
+    groups = defaultdict(list)
+    for job in jobs:
+        groups[job.rows.shape[0], width(job)].append(job)
+    return groups.values()
+
+
+def _stack(blocks: list) -> np.ndarray:
+    """np.stack, without its copy of a lone block."""
+    return blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+
+
 def _receiver(eff: EffectiveChannel, rx: int) -> _Receiver:
     """Receiver rx's projection and factorization, once per effective channel.
 
-    Memoized in eff.receivers with read-only arrays; eff.matrix is
-    read-only, so an entry cannot go stale. Errors are not memoized.
+    factor_receivers on eff alone, on a miss; raises the receiver's
+    DecodeError when it cannot separate its variables (errors are not
+    memoized).
     """
     rec = eff.receivers.get(rx)
-    if rec is not None:
-        return rec
-    height = eff.matrix.shape[0] // 2
-    desired, interference = eff.scheme.receiver_columns[rx]
-    h = eff.matrix[(rx - 1) * height : rx * height]
-    col_sq = np.square(h).sum(axis=0)
-    scale = max(1.0, float(np.sqrt(col_sq.sum())))
-    cutoff = STRUCT_TOL * scale
-    norms = np.sqrt(col_sq[interference])
-    residual = float(norms[norms <= cutoff].max(initial=0.0))
-    live = interference[norms > cutoff]
-    basis = np.zeros((height, 0))
-    if live.size:
-        u, s, _vt = np.linalg.svd(h[:, live], full_matrices=False)
-        basis = u[:, s > cutoff]
-        residual = max(residual, float(s[s <= cutoff].max(initial=0.0)))
-    projected = h - basis @ (basis.T @ h)
-    try:
-        solve, sv = solve_exact(projected[:, desired])
-        separation = float(sv[-1]) / scale
-    except ValueError:  # column-rank deficient: no separation at all
-        solve, separation = None, 0.0
-    if not separation > STRUCT_TOL:
-        raise DecodeError(
-            f"rx{rx} cannot separate its {desired.size} desired columns from "
-            f"its interference (smallest singular value {separation:.3e} of scale)",
-            separation, residual / scale,
-        )
-    projected.setflags(write=False)
-    rec = _Receiver(projected, solve, residual / scale, separation)
-    eff.receivers[rx] = rec
+    if rec is None:
+        failure = factor_receivers([eff]).get((0, rx))
+        if failure is not None:
+            raise failure
+        rec = eff.receivers[rx]
     return rec
 
 
@@ -147,11 +214,12 @@ def reconstruction_error(
     any is) and, when an error is above rel_tol or not finite, a message
     naming the first such variable in column order; else None.
     """
-    starts = [blk.start for blk in scheme.columns.values()]
-    err_sq, x_sq = (np.add.reduceat(a**2, starts) for a in (x_hat - x, x))
+    err_sq, x_sq = (np.add.reduceat(a**2, scheme.column_starts) for a in (x_hat - x, x))
     err = np.sqrt(err_sq) / np.maximum(1.0, np.sqrt(x_sq))
     err = err.max(axis=1) if err.ndim > 1 else err  # per variable, over the batch; keeps a NaN
     worst = float(err.max(initial=0.0))
+    if worst <= rel_tol:
+        return worst, None
     for v, e in zip(scheme.variables, err):
         if not e <= rel_tol:
             return worst, f"variable {v.name!r} reconstructed with relative error {e:.3e}"

@@ -8,12 +8,14 @@ relative to the largest singular value, so they are scale invariant.
 Sizes here are tiny (dimensions well under 100), so the cost is in call
 overhead and repeated factorizations, not in flops: each routine runs one
 SVD, and callers memoize what depends only on a channel draw (see
-schemes.Carrier.materialize).
+schemes.Carrier.materialize). solve_exact also takes a stack of matrices
+of one shape and factors them with one stacked SVD, which costs about what
+one call costs at these sizes (see decode.factor_receivers).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +27,8 @@ __all__ = [
     "solve_exact",
 ]
 
+Solver = Callable[..., np.ndarray]
+
 # Default relative rank cutoff factor: singular values below
 # max(rows, cols) * eps * s_max count as zero.
 DEFAULT_EPS = 1e-12
@@ -34,7 +38,7 @@ def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -109,7 +113,7 @@ def paired_alignment(h_a, h_b) -> Tuple[np.ndarray, np.ndarray]:
     return basis[:m].copy(), basis[m:].copy()
 
 
-def solve_exact(a) -> Tuple[Callable[..., np.ndarray], np.ndarray]:
+def solve_exact(a) -> Union[Tuple[Solver, np.ndarray], Tuple[List[Optional[Solver]], np.ndarray]]:
     """Factor a full-column-rank a once; return (solve, singular values).
 
     One thin SVD of a gives the rank test, the singular values returned
@@ -118,37 +122,64 @@ def solve_exact(a) -> Tuple[Callable[..., np.ndarray], np.ndarray]:
     smallest singular value at most max(rows, cols) * 1e-12 * s_max, which
     means a broken construction.
 
+    a may also be a (k, rows, cols) stack, factored by one stacked SVD:
+    then the result is (solves, s), a list of k solvers and the (k,
+    min(rows, cols)) singular values, each member's bit for bit those of
+    its own 2-D call. Deficiency is reported per member, not raised: a
+    deficient member's solver is None, and a member with a non-finite
+    entry is deficient, with NaN singular values.
+
     solve(y, rel_tol=1e-6) solves a @ x = y for one right-hand side
     (rows,) or a batch (rows, B) at once, then verifies each column's
     residual against rel_tol * ||y_j|| (absolute rel_tol when y_j is tiny);
     a non-finite y fails it. It raises ValueError("inconsistent system")
     when any column fails the residual check.
     """
-    a = _as_matrix(a)
-    if a.shape[1] == 0:
-        s = np.zeros(0)
-        pinv = np.zeros((0, a.shape[0]))
-    else:
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 3:
+        return _factor_stack(a)
+    solves, s = _factor_stack(_as_matrix(a)[None])
+    if solves[0] is None:
+        raise ValueError("underdetermined")
+    return solves[0], s[0]
+
+
+def _factor_stack(a: np.ndarray) -> Tuple[List[Optional[Solver]], np.ndarray]:
+    """solve_exact of a (k, rows, cols) stack."""
+    k, rows, cols = a.shape
+    if cols == 0:
+        return [_solver(a_i, np.zeros((0, rows))) for a_i in a], np.zeros((k, 0))
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if finite.all():
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-        if s.size < a.shape[1] or s[-1] <= max(a.shape) * DEFAULT_EPS * s[0]:
-            raise ValueError("underdetermined")
-        pinv = (vt.T / s) @ u.T
+    else:  # a non-finite member is factored as a zero matrix and gets NaN singular values
+        u, s, vt = np.linalg.svd(np.where(finite[:, None, None], a, 0.0), full_matrices=False)
+        s[~finite] = np.nan
+    ok = (rows >= cols) & (s[:, -1] > max(rows, cols) * DEFAULT_EPS * s[:, 0])
+    # A deficient member's pseudo-inverse is never used: divide it by ones.
+    pinv = (vt.swapaxes(1, 2) / np.where(ok[:, None], s, 1.0)[:, None, :]) @ u.swapaxes(1, 2)
+    return [_solver(a_i, pinv_i) if ok_i else None for a_i, pinv_i, ok_i in zip(a, pinv, ok.tolist())], s
+
+
+def _solver(a: np.ndarray, pinv: np.ndarray) -> Solver:
+    """The solve of solve_exact for a factored a with pseudo-inverse pinv."""
+    rows, cols = a.shape
 
     def solve(y, rel_tol: float = 1e-6) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if a.shape[0] != y.shape[0]:
+        if rows != y.shape[0]:
             raise ValueError("a and y have incompatible shapes")
-        if a.shape[1] == 0:
+        if cols == 0:
             return np.zeros((0,) + y.shape[1:], dtype=float)
         x = pinv @ y
         residual = np.sqrt(np.square(a @ x - y).sum(axis=0))
         # Written so that a NaN residual (a non-finite y) fails too.
         bad = ~(residual <= rel_tol * np.maximum(np.sqrt(np.square(y).sum(axis=0)), 1.0))
-        if np.any(bad):
+        if bad.any():
             raise ValueError(
                 f"inconsistent system: residual {float(np.max(residual[bad])):.3e} "
                 f"exceeds {rel_tol:.1e} * max(||y||, 1)"
             )
         return x
 
-    return solve, s
+    return solve

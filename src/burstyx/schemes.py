@@ -149,7 +149,7 @@ class CodeScheme:
     def n_slots(self) -> int:
         return len(self.slot_topologies)
 
-    @property
+    @cached_property
     def total_symbols(self) -> int:
         return sum(v.length for v in self.variables)
 
@@ -168,6 +168,13 @@ class CodeScheme:
         return {v.name: slice(end - v.length, end) for v, end in zip(self.variables, ends)}
 
     @cached_property
+    def column_starts(self) -> np.ndarray:
+        """Each variable's first column, in order; read-only."""
+        starts = np.array([blk.start for blk in self.columns.values()], dtype=np.intp)
+        starts.setflags(write=False)
+        return starts
+
+    @cached_property
     def receiver_columns(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """Per receiver, the columns it decodes and the rest.
 
@@ -181,6 +188,30 @@ class CodeScheme:
                 c.setflags(write=False)
             out[rx] = cols
         return out
+
+    @cached_property
+    def placements(self) -> Dict[Carrier, Tuple[Tuple[int, int, Tuple[Tuple[int, slice], ...]], ...]]:
+        """Where effective_channel writes each carrier's products.
+
+        Maps each carrier, in order of first use, to its (rx, tx, targets)
+        products: the link matrix H_rx,tx times the materialized carrier is
+        written at each target, the (first row, columns) of one slot where
+        the link is on. Computed once per scheme, like columns.
+        """
+        n, s_count = self.dims.n, self.n_slots
+        plan: Dict[Carrier, Dict[Tuple[int, int], list]] = {}
+        for v in self.variables:
+            products = plan.setdefault(v.carrier, {})
+            cols = self.columns[v.name]
+            for slot in v.slots:
+                topo = self.topology(slot)
+                for rx in (1, 2):
+                    if topo.link(rx, v.tx):
+                        products.setdefault((rx, v.tx), []).append((((rx - 1) * s_count + slot) * n, cols))
+        return {
+            carrier: tuple((rx, tx, tuple(targets)) for (rx, tx), targets in products.items())
+            for carrier, products in plan.items()
+        }
 
     # -- consistency ----------------------------------------------------
 
@@ -218,24 +249,21 @@ class EffectiveChannel:
 
 
 def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChannel:
-    """Materialize carriers and assemble the stacked receive matrix."""
+    """Materialize carriers and assemble the stacked receive matrix.
+
+    Each carrier is materialized once and each of its (rx, tx) products
+    computed once, then written to every slot of scheme.placements.
+    """
     dims = channels.dims
     if (dims.m, dims.n) != (scheme.dims.m, scheme.dims.n):
         raise ValueError("channel set and scheme dimensions disagree")
-    n, s_count = dims.n, scheme.n_slots
-    matrix = np.zeros((2 * s_count * n, scheme.total_symbols))
-
-    cache: Dict[Carrier, np.ndarray] = {}
-    for v in scheme.variables:
-        if v.carrier not in cache:
-            cache[v.carrier] = v.carrier.materialize(channels)
-        block = cache[v.carrier]
-        cols = scheme.columns[v.name]
-        for slot in v.slots:
-            topo = scheme.topology(slot)
-            for rx in (1, 2):
-                if topo.link(rx, v.tx):
-                    r0 = ((rx - 1) * s_count + slot) * n
-                    matrix[r0 : r0 + n, cols] = channels.link_matrix(rx, v.tx) @ block
+    n = dims.n
+    matrix = np.zeros((2 * scheme.n_slots * n, scheme.total_symbols))
+    for carrier, products in scheme.placements.items():
+        block = carrier.materialize(channels)
+        for rx, tx, targets in products:
+            product = channels.link_matrix(rx, tx) @ block
+            for r0, cols in targets:
+                matrix[r0 : r0 + n, cols] = product
     matrix.setflags(write=False)
     return EffectiveChannel(scheme, matrix)

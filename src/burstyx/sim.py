@@ -13,8 +13,9 @@ live in the builders alone.
 run_simulation draws the channels, the window's topology histogram (one
 multinomial draw; the scheduler reads nothing else) and the spot-check
 messages from three independent Philox streams, schedules the realized
-counts, decodes a configurable fraction of blocks of each kind end to end,
-and reports the empirical per-slot symbol rate against
+counts, factors every scheduled kind's receivers in one stacked pass,
+decodes a configurable fraction of blocks of each kind end to end, and
+reports the empirical per-slot symbol rate against
 composite_achievable.
 """
 
@@ -43,7 +44,7 @@ from .channel import (
     sample_topology_indices,
 )
 # Bound under its old name, which the benchmark's tracer looks up here.
-from .decode import reconstruction_error, sic_decode
+from .decode import factor_receivers, reconstruction_error, sic_decode
 from .formulas import composite_achievable
 from .schemes import CodeScheme, effective_channel
 
@@ -187,9 +188,10 @@ def run_simulation(
     children of SeedSequence(seed), so a run is reproducible and none of
     its streams is another seed's stream. The kinds' codes come from the
     builders' per-shape caches, and all kinds share the draw's memoized
-    bases. Blocks of one kind share the same effective channel, so each
-    kind is decoded ceil(count * decode_fraction) times (at least once)
-    with fresh random messages. The messages of a kind are one
+    bases. Blocks of one kind share the same effective channel, and the
+    receivers of every kind's channel are factored in one
+    factor_receivers pass. Each kind is decoded ceil(count *
+    decode_fraction) times (at least once) with fresh random messages. The messages of a kind are one
     (total_symbols, n_dec) batch decoded by one sic_decode call; every
     variable of every message is still held to rel_tol on its own
     (reconstruction_error), and a failed (or non-finite) decode raises.
@@ -207,12 +209,23 @@ def run_simulation(
     alloc = schedule_codes(sample_topology_counts(p, n, topo_seq), dims)
     kinds = [(_KINDS[name].build(dims), count) for name, count in alloc.blocks.items()]
 
+    # Every kind's effective channel on the draw, up to the first that
+    # fails; its error is raised after the kinds before it are decoded.
+    effs, failed = [], None
+    try:
+        for scheme, _count in kinds:
+            effs.append(effective_channel(channels, scheme))
+    except ValueError as exc:
+        failed = exc
+    # All their receivers at once; a receiver that cannot separate its
+    # variables raises from its kind's sic_decode, in catalogue order.
+    factor_receivers(effs)
+
     decoded_symbols = 0
     decodes_run = 0
     rng = np.random.Generator(np.random.Philox(msg_seq))
-    for scheme, count in kinds:
+    for (scheme, count), eff in zip(kinds, effs):
         decoded_symbols += scheme.total_symbols * count
-        eff = effective_channel(channels, scheme)
         n_dec = max(1, math.ceil(count * decode_fraction))
         # Column i is message i: the draws a message-by-message loop would
         # make, in order.
@@ -222,6 +235,8 @@ def run_simulation(
         if failure:
             raise RuntimeError(f"scheme {scheme.name} failed decode spot check: {failure}")
         decodes_run += n_dec
+    if failed is not None:
+        raise failed
 
     return SimResult(
         m=dims.m,

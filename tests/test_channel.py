@@ -190,6 +190,27 @@ def test_rank_deficient_draw_is_redrawn_after_all_four(monkeypatch):
         assert np.linalg.matrix_rank(ch.h(k)) == min(m, n)
 
 
+def test_sampled_channels_keep_the_drawn_stack_without_a_copy(monkeypatch):
+    real = np.random.Generator
+    drawn = []
+
+    class Recording:
+        def __init__(self, bit_generator):
+            self._rng = real(bit_generator)
+
+        def standard_normal(self, size):
+            drawn.append(self._rng.standard_normal(size))
+            return drawn[-1]
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    ch = bx.sample_channels(bx.Dimensions(4, 3), 5)
+    monkeypatch.undo()
+    (stack,) = drawn
+    assert all(ch.h(k).base is stack for k in range(1, 5))
+    assert not stack.flags.writeable
+    assert ch.dims == bx.Dimensions(4, 3) and ch.bases == {}
+
+
 def test_channel_alias_and_orientation():
     dims = bx.Dimensions(4, 3)
     ch = bx.sample_channels(dims, 0)

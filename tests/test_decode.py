@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import burstyx as bx
+import burstyx.cli
 import burstyx.decode
+import burstyx.sim
 from burstyx.decode import STRUCT_TOL
 from burstyx.schemes import Carrier, CodeScheme, Variable
 
@@ -350,24 +352,123 @@ def test_misaligned_zf_code_fails_in_the_decoder():
 @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (24, 18)])
 def test_each_receiver_is_factored_once_per_effective_channel(monkeypatch, shape):
     real = burstyx.decode.solve_exact
-    calls = []
+    widths = []  # one desired width per factored receiver
 
     def counting(a):
-        calls.append(a.shape)
+        widths.extend([a.shape[-1]] * (a.shape[0] if a.ndim == 3 else 1))
         return real(a)
+
+    def receiver_widths(schemes):
+        return sorted(
+            sum(v.length for v in scheme.variables if v.rx == rx)
+            for scheme in schemes
+            for rx in {v.rx for v in scheme.variables}
+        )
 
     monkeypatch.setattr(burstyx.decode, "solve_exact", counting)
     dims = bx.Dimensions(*shape)
     ch = bx.sample_channels(dims, 5)
     for scheme in _all_constructions(dims):
-        calls.clear()
+        widths.clear()
         res = bx.verify_decodability(ch, scheme, trials=3, seed=5)
         assert res.ok, (scheme.name, res.error)
-        receivers = {v.rx for v in scheme.variables}
-        assert len(calls) == len(receivers), scheme.name
-        assert sorted(c[1] for c in calls) == sorted(
-            sum(v.length for v in scheme.variables if v.rx == rx) for rx in receivers
-        )
+        assert sorted(widths) == receiver_widths([scheme]), scheme.name
+
+    # A run factors each scheduled kind's receivers once, whatever its decodes.
+    widths.clear()
+    res = bx.run_simulation(dims, 0.6, 5_000, 5, decode_fraction=0.05)
+    scheduled = [burstyx.sim._KINDS[name].build(dims) for name in res.allocation.blocks]
+    assert sorted(widths) == receiver_widths(scheduled)
+    assert len(res.allocation.blocks) > 3
+
+
+def _factor_alone(eff, rx):
+    """Receiver rx factored by itself, with one 2-D np.linalg.svd call per SVD.
+
+    Returns (projected, pseudo-inverse of its desired columns, null
+    residual, separation), or the DecodeError's (message, separation, null
+    residual).
+    """
+    height = eff.matrix.shape[0] // 2
+    desired, interference = eff.scheme.receiver_columns[rx]
+    h = eff.matrix[(rx - 1) * height : rx * height]
+    col_sq = np.square(h).sum(axis=0)
+    scale = max(1.0, float(np.sqrt(col_sq.sum())))
+    cutoff = STRUCT_TOL * scale
+    norms = np.sqrt(col_sq[interference])
+    residual = float(norms[norms <= cutoff].max(initial=0.0))
+    live = interference[norms > cutoff]
+    basis = np.zeros((height, 0))
+    if live.size:
+        u, s, _vt = np.linalg.svd(h[:, live], full_matrices=False)
+        basis = u[:, s > cutoff]
+        residual = max(residual, float(s[s <= cutoff].max(initial=0.0)))
+    projected = h - basis @ (basis.T @ h)
+    a = projected[:, desired]
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s.size < a.shape[1] or s[-1] <= max(a.shape) * 1e-12 * s[0]:  # solve_exact's rank test
+        return f"rx{rx} cannot separate", 0.0, residual / scale
+    separation = float(s[-1]) / scale
+    if not separation > STRUCT_TOL:
+        return f"rx{rx} cannot separate", separation, residual / scale
+    return projected, (vt.T / s) @ u.T, residual / scale, separation
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_stacked_factorization_equals_factoring_each_receiver_alone(m):
+    """Every scheduled kind and verify label at m x 1..12, all factored in one pass."""
+    rng = np.random.default_rng(m)
+    for n in range(1, 13):
+        dims = bx.Dimensions(m, n)
+        ch = bx.sample_channels(dims, 11)
+        codes = {}
+        kinds = [kind.build for kind in burstyx.sim._KINDS.values()]
+        for build in kinds + list(burstyx.cli._CONSTRUCTIONS.values()):
+            try:
+                scheme = build(dims)
+            except ValueError:
+                continue
+            codes[id(scheme)] = scheme
+        effs = [bx.effective_channel(ch, scheme) for scheme in codes.values()]
+        failures = burstyx.decode.factor_receivers(effs)
+        for i, eff in enumerate(effs):
+            x = rng.standard_normal((eff.scheme.total_symbols, 3))
+            for rx in (1, 2):
+                if not eff.scheme.receiver_columns[rx][0].size:
+                    assert rx not in eff.receivers and (i, rx) not in failures
+                    continue
+                alone = _factor_alone(eff, rx)
+                where = (eff.scheme.name, m, n, rx)
+                if isinstance(alone[0], str):
+                    failure = failures[i, rx]
+                    assert rx not in eff.receivers, where
+                    assert str(failure).startswith(alone[0]), where
+                    assert (failure.separation, failure.null_residual) == alone[1:], where
+                    continue
+                rec = eff.receivers[rx]
+                assert (i, rx) not in failures, where
+                assert np.array_equal(rec.projected, alone[0]), where
+                assert (rec.null_residual, rec.separation) == alone[2:], where
+                assert np.array_equal(rec.solve(rec.projected @ x), alone[1] @ (alone[0] @ x)), where
+
+
+def test_factor_receivers_raises_nothing_and_sic_decode_raises_for_the_failure():
+    dims = bx.Dimensions(4, 3)
+    ch = bx.sample_channels(dims, 2)
+    good = bx.build_z_pair_code(dims, "z12")
+    # A second copy of a desired stream: its receiver's desired columns lose rank.
+    v = good.variables[0]
+    doubled = good.variables + (replace(v, name=v.name + "_copy"),)
+    broken = replace(good, name="z12_doubled", variables=doubled)
+    effs = [bx.effective_channel(ch, scheme) for scheme in (good, broken)]
+    failures = burstyx.decode.factor_receivers(effs)
+    assert set(effs[0].receivers) == {1, 2}
+    assert list(failures) == [(1, v.rx)] and set(effs[1].receivers) == {3 - v.rx}
+    assert failures[1, v.rx].separation == 0.0
+    with pytest.raises(bx.DecodeError, match=f"rx{v.rx} cannot separate") as exc:
+        bx.sic_decode(effs[1], np.zeros(broken.total_symbols))
+    assert str(exc.value) == str(failures[1, v.rx])
+    assert burstyx.decode.factor_receivers(effs[:1]) == {}  # memoized: nothing left to factor
 
 
 def test_memo_and_matrix_are_read_only():

@@ -181,3 +181,34 @@ def test_solve_exact_wide_and_zero_matrices_are_underdetermined(batch):
         bx.solve_exact(wide)[0](np.zeros((2,) + batch))
     with pytest.raises(ValueError, match="underdetermined"):
         bx.solve_exact(np.zeros((4, 2)))[0](np.zeros((4,) + batch))
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (4, 4), (9, 5), (26, 15), (2, 0)])
+def test_solve_exact_on_a_stack_equals_each_2d_call_bit_for_bit(shape):
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((4,) + shape) * np.array([1e-6, 1.0, 1e3, 3.0])[:, None, None]
+    y = stack @ rng.standard_normal((4, shape[1], 5))
+    solves, s = bx.solve_exact(stack)
+    assert len(solves) == 4 and s.shape == (4, min(shape))
+    for a, solve, s_i, y_i in zip(stack, solves, s, y):
+        solve_2d, s_2d = bx.solve_exact(a)
+        assert np.array_equal(s_i, s_2d)
+        assert np.array_equal(solve(y_i), solve_2d(y_i))
+        assert np.array_equal(solve(y_i[:, 0]), solve_2d(y_i[:, 0]))
+
+
+def test_solve_exact_reports_each_deficient_member_of_a_stack():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((4, 5, 3))
+    stack[1, :, 2] = 2.0 * stack[1, :, 0]  # column-rank deficient
+    stack[3, 0, 0] = np.nan  # non-finite
+    solves, s = bx.solve_exact(stack)
+    assert solves[1] is None and solves[3] is None
+    assert np.isnan(s[3]).all() and s[1, -1] <= 5 * 1e-12 * s[1, 0]
+    for i in (0, 2):
+        solve_2d, s_2d = bx.solve_exact(stack[i])
+        assert np.array_equal(s[i], s_2d)
+        y = stack[i] @ rng.standard_normal(3)
+        assert np.array_equal(solves[i](y), solve_2d(y))
+    wide_solves, _s = bx.solve_exact(rng.standard_normal((2, 2, 3)))
+    assert wide_solves == [None, None]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import burstyx as bx
+import burstyx.cli
 import burstyx.schemes
 import burstyx.sim
 from burstyx.schemes import Carrier, CodeScheme, Variable
@@ -192,6 +193,48 @@ def test_effective_channel_sends_each_variable_in_its_slots_only():
         assert np.array_equal(v[rows], expected_v[block]), block
 
 
+def _every_code(dims):
+    """Each distinct code of the scheduler's kinds and of the verify labels at dims."""
+    builds = [kind.build for kind in burstyx.sim._KINDS.values()] + list(burstyx.cli._CONSTRUCTIONS.values())
+    codes = {}
+    for build in builds:
+        try:
+            scheme = build(dims)
+        except ValueError:
+            continue  # infeasible at this shape
+        codes[id(scheme)] = scheme
+    return list(codes.values())
+
+
+def _slot_by_slot(channels, scheme):
+    """The stacked receive matrix with one product per (variable, slot, receiver)."""
+    n, s_count = channels.dims.n, scheme.n_slots
+    matrix = np.zeros((2 * s_count * n, scheme.total_symbols))
+    cache = {}
+    for v in scheme.variables:
+        if v.carrier not in cache:
+            cache[v.carrier] = v.carrier.materialize(channels)
+        cols = scheme.columns[v.name]
+        for slot in v.slots:
+            topo = scheme.topology(slot)
+            for rx in (1, 2):
+                if topo.link(rx, v.tx):
+                    r0 = ((rx - 1) * s_count + slot) * n
+                    matrix[r0 : r0 + n, cols] = channels.link_matrix(rx, v.tx) @ cache[v.carrier]
+    return matrix
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_effective_channel_equals_the_slot_by_slot_products_bit_for_bit(m):
+    for n in range(1, 13):
+        dims = _dims(m, n)
+        ch = bx.sample_channels(dims, 11)
+        for scheme in _every_code(dims):
+            eff = bx.effective_channel(ch, scheme)
+            assert np.array_equal(eff.matrix, _slot_by_slot(ch, scheme)), (scheme.name, m, n)
+            assert scheme.placements is scheme.placements
+
+
 def test_validation_rejects_duplicate_names():
     dims = _dims(2, 2)
     with pytest.raises(ValueError, match="duplicate"):
@@ -264,3 +307,6 @@ def test_total_symbols_counts_lengths():
     scheme = bx.build_z_pair_code(_dims(4, 3), "z12")
     assert scheme.total_symbols == sum(v.length for v in scheme.variables)
     assert scheme.total_symbols == 10
+    assert scheme.column_starts.tolist() == [blk.start for blk in scheme.columns.values()]
+    with pytest.raises(ValueError):
+        scheme.column_starts[0] = 1

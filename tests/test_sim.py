@@ -307,3 +307,39 @@ def test_spot_check_holds_each_variable_of_each_message_to_rel_tol(monkeypatch, 
             bx.run_simulation(dims, 0.7, 20_000, seed=6, decode_fraction=0.05)
     else:
         bx.run_simulation(dims, 0.7, 20_000, seed=6, decode_fraction=0.05)
+
+
+@pytest.mark.parametrize("fault", ["separation", "carrier"])
+def test_simulation_raises_the_first_failure_in_catalogue_order(monkeypatch, fault):
+    """Channels and receivers are built before any decode; failures still surface kind by kind."""
+    from dataclasses import replace
+
+    from burstyx.schemes import Carrier
+
+    dims = bx.Dimensions(4, 3)
+    assert list(bx.run_simulation(dims, 0.5, 5_000, seed=6).allocation.blocks)[:2] == ["zf", "z12"]
+    z12 = bx.build_z_pair_code(dims, "z12")
+    v = z12.variables[0]
+    if fault == "separation":  # a second copy of one stream: its receiver cannot separate its columns
+        copy = replace(v, name=v.name + "_copy")
+        broken = replace(z12, name="z12_doubled", variables=z12.variables + (copy,))
+        error, message = bx.DecodeError, f"rx{v.rx} cannot separate"
+    else:  # a pinv slice wider than the pseudo-inverse: effective_channel raises
+        wide = replace(v, carrier=Carrier("pinv", 4, ch=1))
+        broken = replace(z12, name="z12_wide", variables=(wide,) + z12.variables[1:])
+        error, message = ValueError, "pinv slice exceeds"
+    kind = burstyx.sim._KINDS["z12"]._replace(build=lambda dims: broken)
+    monkeypatch.setitem(burstyx.sim._KINDS, "z12", kind)
+    with pytest.raises(error, match=message):
+        bx.run_simulation(dims, 0.5, 5_000, seed=6)
+
+    real = burstyx.sim.reconstruction_error
+
+    def zf_fails(scheme, x_hat, x, rel_tol):
+        if scheme is bx.build_zf_code(dims):
+            return 1.0, "variable 'forced' reconstructed with relative error 1"
+        return real(scheme, x_hat, x, rel_tol)
+
+    monkeypatch.setattr(burstyx.sim, "reconstruction_error", zf_fails)
+    with pytest.raises(RuntimeError, match="zf_block failed decode spot check: variable 'forced'"):
+        bx.run_simulation(dims, 0.5, 5_000, seed=6)
