@@ -26,18 +26,23 @@ representative, and its images are derived:
     z1              z4       z2         z3
     pair z12                            pair z34
 
-empty, f and the five-slot codes' slot sets are their own images.
+empty, f and the five-slot codes' slot sets are their own images. An image
+relabels its representative's cached code.
 
 Each builder lists its variables, each with its transmitter, receiver,
 carrier and the slots it is sent in. The list order is the column order of
 the effective channel, and so the order of the message streams.
+
+CODES is the one catalogue of codes: each label with the slot topologies
+of one block and its cached builder. verify checks its labels, and the
+scheduler (sim) picks its kinds from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
 from .channel import Dimensions, TOPOLOGIES, TOPOLOGY_BY_INDEX, Topology
 from .schemes import Carrier, CodeScheme, Variable
@@ -256,9 +261,10 @@ def build_single_topology_code(topology: Union[str, Topology], dims: Dimensions)
     name = topology.name if isinstance(topology, Topology) else topology
     if name not in TOPOLOGIES:
         raise ValueError(f"unknown topology {name!r}")
-    rep, swap_tx, swap_rx = _IMAGES.get(name, (name, False, False))
-    scheme = _REPRESENTATIVES[rep](dims)
-    return scheme if rep == name else _relabel(scheme, f"single_{name}", swap_tx, swap_rx)
+    if name not in _IMAGES:
+        return _REPRESENTATIVES[name](dims)
+    rep, swap_tx, swap_rx = _IMAGES[name]
+    return _relabel(build_single_topology_code(rep, dims), f"single_{name}", swap_tx, swap_rx)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +285,8 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
         raise ValueError("paired code needs min/max antenna ratio above 1/2")
     if pair not in ("z12", "z34"):
         raise ValueError("pair must be 'z12' or 'z34'")
+    if pair == "z34":
+        return _relabel(build_z_pair_code(dims, "z12"), "pair_z34", *_IMAGES["z34"][1:])
 
     # tx1 sends a to rx1 in z1 and d to rx2 in z2; tx2 sends c to rx2 in both
     # slots, and helpers b to rx2 in z1 and e to rx1 in z2. When m >= n, b
@@ -296,13 +304,14 @@ def build_z_pair_code(dims: Dimensions, pair: str = "z12") -> CodeScheme:
         Variable("d", 1, 2, _ident(lo), (1,)),
         Variable("e", 2, 1, car_e, (1,)),
     ]
-    scheme = _scheme("pair_z12", dims, ("z1", "z2"), variables)
-    return scheme if pair == "z12" else _relabel(scheme, "pair_z34", *_IMAGES["z34"][1:])
+    return _scheme("pair_z12", dims, ("z1", "z2"), variables)
 
 
 # ---------------------------------------------------------------------------
 # five-slot block reusing all four one-off-link slots plus the full slot
 # ---------------------------------------------------------------------------
+
+_FIVE_SLOTS = ("z1", "z2", "z3", "z4", "f")
 
 
 @lru_cache(maxsize=_SHAPE_CACHE)
@@ -316,7 +325,6 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
     m, n = dims.m, dims.n
     if 3 * min(m, n) <= 2 * max(m, n):
         raise ValueError("five-slot code needs min/max antenna ratio above 2/3")
-    slots = ("z1", "z2", "z3", "z4", "f")
 
     if m >= n:
         wc, wp = 2 * n - m, m - n
@@ -349,14 +357,12 @@ def build_zf_code(dims: Dimensions) -> CodeScheme:
         Variable("m", 2, 1, car_m, (1,)),
         Variable("n", 2, 2, car_n, (4,)),
     ]
-    return _scheme("zf_block", dims, slots, variables)
+    return _scheme("zf_block", dims, _FIVE_SLOTS, variables)
 
 
 # ---------------------------------------------------------------------------
 # five-slot precoders sending every stream through all slots
 # ---------------------------------------------------------------------------
-
-_IA_SLOTS = ("z1", "z2", "z3", "z4", "f")
 
 # per slot: which of the eight streams each transmitter sends
 _IA_PATTERN = {
@@ -406,7 +412,7 @@ def build_block_ia_precoder(dims: Dimensions) -> CodeScheme:
     variables = [
         Variable(stream, tx, *rx_and_carrier[stream], slots) for stream, tx, slots in sorted(_ia_streams())
     ]
-    return _scheme("ia_block", dims, _IA_SLOTS, variables)
+    return _scheme("ia_block", dims, _FIVE_SLOTS, variables)
 
 
 @lru_cache(maxsize=_SHAPE_CACHE)
@@ -443,4 +449,22 @@ def build_refined_ia_precoder(dims: Dimensions) -> CodeScheme:
         for stream, tx, slots in _ia_streams()
         for name, rx, carrier in split[stream]
     ]
-    return _scheme("ia_refined", dims, _IA_SLOTS, variables)
+    return _scheme("ia_refined", dims, _FIVE_SLOTS, variables)
+
+
+class Code(NamedTuple):
+    slots: Tuple[str, ...]  # slot topologies of one block, as the built code lists them
+    build: Callable[[Dimensions], CodeScheme]  # cached; raises ValueError where the code does not exist
+
+
+# The catalogue, in verify's label order; a topology's one-slot code is
+# labelled by the topology's name.
+CODES: Dict[str, Code] = {
+    "z12": Code(("z1", "z2"), lambda dims: build_z_pair_code(dims, "z12")),
+    "z34": Code(("z3", "z4"), lambda dims: build_z_pair_code(dims, "z34")),
+    "zf": Code(_FIVE_SLOTS, build_zf_code),
+    "ia_block": Code(_FIVE_SLOTS, build_block_ia_precoder),
+    "ia_refined": Code(_FIVE_SLOTS, build_refined_ia_precoder),
+    "f_fallback": Code(("f",), build_f_fallback),
+    **{t: Code((t,), lambda dims, t=t: build_single_topology_code(t, dims)) for t in sorted(TOPOLOGIES)},
+}

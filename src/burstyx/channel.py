@@ -138,9 +138,15 @@ def _topology_law(k: int, p: float) -> float:
 _SAMPLE_CHUNK = 16_384  # slots per draw in sample_topology_indices
 
 
+def _check_count(n: int, what: str, low: int = 0) -> int:
+    """n as an int if it is an integer in [low, 2**63), the int64 range; a float is refused, not truncated."""
+    if not (isinstance(n, (int, np.integer)) and low <= n < 2**63):
+        raise ValueError(f"{what} must be an integer in [{low}, 2**63)")
+    return int(n)
+
+
 def _check_window(p: float, n: int) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_count(n, "n")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
 
@@ -190,10 +196,10 @@ class ChannelSet:
     Attributes h11, h12, h21, h22 are N x M arrays (receiver index first),
     the four read-only views of one copy of the caller's matrices. ``h(k)``
     exposes the 1..4 alias ordering h11, h12, h21, h22 used by the
-    coding-scheme builders. ``bases`` memoizes what depends only on the
-    draw (pseudo-inverse, null and paired bases, filled by
-    schemes.Carrier.materialize); the matrices are read-only, so an entry
-    can never go stale.
+    coding-scheme builders. ``bases`` memoizes the read-only bases that
+    carriers slice (I_M and the pseudo-inverse, null and paired bases,
+    filled by schemes.Carrier.materialize); the matrices are read-only, so
+    an entry can never go stale.
     """
 
     def __init__(
@@ -225,7 +231,7 @@ class ChannelSet:
         stack.setflags(write=False)
         self.dims = dims
         self.h11, self.h12, self.h21, self.h22 = stack
-        self.bases: Dict[tuple, object] = {}
+        self.bases: Dict[tuple, np.ndarray] = {}
 
     def h(self, k: int) -> np.ndarray:
         """Channel matrix by alias index: 1 -> h11, 2 -> h12, 3 -> h21, 4 -> h22."""

@@ -8,8 +8,9 @@ Subcommands:
 
 Antenna counts (verify --shapes, simulate --m/--n) are at most 64 per side,
 which keeps a channel draw's memory bounded. verify takes at most 100,000
---seeds and 1,000 --trials, which bounds its run time, and writes each
-shape's records (text, or --json array items) once that shape is done.
+--seeds and 1,000 --trials and checks a repeated --shapes or --constructions
+entry once, which bounds its run time; it writes each shape's records
+(text, or --json array items) once that shape is done.
 
 main may be called repeatedly in one process. It builds its argparse parser
 on the first call and reuses it, since building it costs several times what
@@ -31,14 +32,7 @@ import sys
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .builders import (
-    build_block_ia_precoder,
-    build_f_fallback,
-    build_refined_ia_precoder,
-    build_single_topology_code,
-    build_z_pair_code,
-    build_zf_code,
-)
+from .builders import CODES
 from .channel import Dimensions, TOPOLOGIES, sample_channels
 from .decode import verify_decodability
 from .formulas import _baseline, _dof, _lb, _ua, _ub, dof_profile
@@ -56,18 +50,10 @@ _SERIES: Dict[str, Callable[[float, float], Optional[float]]] = {
     "baseline": _baseline,
 }
 
-# verify's labels, each building its code at a shape; a builder raises
-# ValueError where its code does not exist.
-_CONSTRUCTIONS: Dict[str, Callable] = {
-    "z12": lambda dims: build_z_pair_code(dims, "z12"),
-    "z34": lambda dims: build_z_pair_code(dims, "z34"),
-    "zf": build_zf_code,
-    "ia_block": build_block_ia_precoder,
-    "ia_refined": build_refined_ia_precoder,
-    "f_fallback": build_f_fallback,
-    **{f"single:{t}": (lambda dims, t=t: build_single_topology_code(t, dims)) for t in sorted(TOPOLOGIES)},
-}
-_CONSTRUCTION_CHOICES = ", ".join(_CONSTRUCTIONS) + "; singles means every single:<topology>"
+# verify's label of each catalogue code: a topology's one-slot code is
+# spelled single:<topology>.
+_LABELS: Dict[str, str] = {(f"single:{name}" if name in TOPOLOGIES else name): name for name in CODES}
+_CONSTRUCTION_CHOICES = ", ".join(_LABELS) + "; singles means every single:<topology>"
 _MAX_ANTENNAS = 64
 _MAX_SEEDS = 100_000
 _MAX_TRIALS = 1_000
@@ -100,7 +86,7 @@ def _parse_shapes(text: str) -> List[Dimensions]:
         shapes.append(dims)
     if not shapes:
         raise argparse.ArgumentTypeError("no shapes given")
-    return shapes
+    return list(dict.fromkeys(shapes))  # a repeated shape is checked once
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -166,11 +152,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     expanded: List[str] = []
     for label in filter(None, (c.strip() for c in args.constructions.split(","))):
         if label == "singles":
-            expanded.extend(k for k in _CONSTRUCTIONS if k.startswith("single:"))
-        elif label in _CONSTRUCTIONS:
+            expanded.extend(k for k in _LABELS if k.startswith("single:"))
+        elif label in _LABELS:
             expanded.append(label)
         else:
             raise SystemExit(f"unknown construction {label!r}; choose from {_CONSTRUCTION_CHOICES}")
+    expanded = list(dict.fromkeys(expanded))  # a repeated label is checked once
     written = skipped = 0
     failed = False
     if args.json:
@@ -182,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cases = []
         for label in expanded:
             try:
-                cases.append((label, _CONSTRUCTIONS[label](dims), []))
+                cases.append((label, CODES[_LABELS[label]].build(dims), []))
             except ValueError as exc:
                 skip = {"construction": label, "shape": shape, "status": "skip", "reason": str(exc)}
                 cases.append((label, None, [skip]))

@@ -112,7 +112,11 @@ def normalized_dof(r: float, p: float) -> float:
 
 
 def upper_bound_a(r: float, p: float) -> float:
-    """Normalized converse from per-receiver rate pairs; tight for r <= 2/3."""
+    """Normalized converse from per-receiver rate pairs.
+
+    Tight for 1/2 <= r <= 2/3, and for r > 2/3 when p <= 1/2. Below r = 1/2
+    it exceeds the DoF by 2 p^2 q (1 - 2r), q = 1 - p.
+    """
     _check_rp(r, p)
     return _ua(r, p)
 
@@ -162,7 +166,8 @@ def _check_shape(m: int, n: int) -> None:
 
 def rate_pair_bound(m: int, n: int, p: float) -> float:
     """Converse on one receiver's rate pair; doubling and normalizing by
-    max(m, n) recovers the exact normalized DoF and upper_bound_a."""
+    max(m, n) recovers the exact normalized DoF where it is characterized,
+    and upper_bound_a at r >= 1/2."""
     _check_shape(m, n)
     _check_p(p)
     return _rate_pair(m, n, p)

@@ -6,8 +6,10 @@ receiver recovers its own variables from its own observations over all the
 slots (see decode). Everything is symbolic until materialized against a
 concrete channel draw:
 
-- Carrier: a symbolic precoder block (identity slice, pseudo-inverse slice,
-  null-space basis, or tall-orientation alignment pair).
+- Carrier: a symbolic precoder block, a column slice of one basis of the
+  draw (the identity, a pseudo-inverse, a null space, or one side of a
+  tall-orientation alignment pair); each basis is computed once per draw
+  and memoized in ChannelSet.bases.
 - Variable: a named message stream that one transmitter sends to one
   receiver on one carrier, in every slot it uses; its length is the
   carrier's width.
@@ -44,25 +46,31 @@ __all__ = [
 _CARRIER_KINDS = ("I-slice", "pinv", "null", "pair")
 
 
-def _basis(channels: ChannelSet, kind: str, ch: int, ch_b: Optional[int] = None):
-    """The full pinv, null or pair basis of one draw, computed once per draw.
+def _basis(channels: ChannelSet, carrier: Carrier) -> np.ndarray:
+    """The read-only basis carrier slices, computed once per draw.
 
-    Memoized in channels.bases and read-only; a pair entry is the (a, b)
-    tuple of paired_alignment. Errors are not memoized, so they re-raise.
+    I_M for an I-slice, the pseudo-inverse or null basis of H_ch, or one
+    side of paired_alignment(H_ch, H_ch_b), whose two sides are stored from
+    one call. Memoized in channels.bases; errors are not memoized, so they
+    re-raise.
     """
-    key = (kind, ch, ch_b)
+    kind, ch = carrier.kind, carrier.ch
+    key = (kind, ch, carrier.ch_b, carrier.side) if kind == "pair" else (kind, ch)
     basis = channels.bases.get(key)
     if basis is None:
-        h = channels.h(ch)
-        if kind == "pinv":
-            basis = pseudo_inverse(h)
+        if kind == "I-slice":
+            found = {key: np.eye(channels.dims.m)}
+        elif kind == "pinv":
+            found = {key: pseudo_inverse(channels.h(ch))}
         elif kind == "null":
-            basis = null_space_basis(h)
+            found = {key: null_space_basis(channels.h(ch))}
         else:
-            basis = paired_alignment(h, channels.h(ch_b))
-        for block in basis if kind == "pair" else (basis,):
+            sides = paired_alignment(channels.h(ch), channels.h(carrier.ch_b))
+            found = {key[:3] + (side,): block for side, block in zip("ab", sides)}
+        for block in found.values():
             block.setflags(write=False)
-        channels.bases[key] = basis
+        channels.bases.update(found)
+        basis = found[key]
     return basis
 
 
@@ -70,12 +78,11 @@ def _basis(channels: ChannelSet, kind: str, ch: int, ch_b: Optional[int] = None)
 class Carrier:
     """Symbolic precoder block, materialized to an M x width matrix.
 
-    kind:
-      I-slice  columns [start, start+width) of I_M
-      pinv     columns [start, start+width) of pseudo_inverse(H_ch); at
-               start 0, alignment_block(H_ch, width)
-      null     columns [start, start+width) of null_space_basis(H_ch)
-      pair     one side of paired_alignment(H_ch, H_ch_b), leading columns
+    Columns [start, start+width) of a basis of the draw:
+      I-slice  I_M
+      pinv     pseudo_inverse(H_ch); at start 0, alignment_block(H_ch, width)
+      null     null_space_basis(H_ch)
+      pair     one side (a or b) of paired_alignment(H_ch, H_ch_b)
     """
 
     kind: str
@@ -97,18 +104,7 @@ class Carrier:
                 raise ValueError("pair carrier needs ch_b and side in {'a','b'}")
 
     def materialize(self, channels: ChannelSet) -> np.ndarray:
-        m = channels.dims.m
-        if self.kind == "I-slice":
-            if self.start + self.width > m:
-                raise ValueError("identity slice exceeds transmit dimension")
-            return np.eye(m, self.width, -self.start)
-        if self.kind == "pair":
-            ga, gb = _basis(channels, "pair", self.ch, self.ch_b)
-            block = ga if self.side == "a" else gb
-            if self.width > block.shape[1]:
-                raise ValueError("pair slice exceeds paired null-space dimension")
-            return block[:, : self.width]
-        basis = _basis(channels, self.kind, self.ch)
+        basis = _basis(channels, self)
         if self.start + self.width > basis.shape[1]:
             raise ValueError(f"{self.kind} slice exceeds available columns")
         return basis[:, self.start : self.start + self.width]

@@ -1,14 +1,15 @@
 """Slot scheduling over counted topologies, and Monte Carlo runs.
 
-A code kind is one code and the multiset of slot topologies one of its
-blocks occupies. _KINDS lists every kind in priority order: the five-slot
-zf code, the two pair codes, then the one-slot codes in topology name
-order, with the all-links fallback right after the standalone all-links
-code. schedule_codes walks the list once over a window's topology
-histogram and gives each kind as many blocks as the remaining counts
-allow. A kind exists at a shape exactly when its builder returns there, so
-the shape rules (antenna-ratio thresholds, the all-links special cases)
-live in the builders alone.
+A code kind is a code of builders.CODES that the scheduler may use; a
+block of it occupies the catalogue entry's slot topologies. _KINDS lists
+the kinds in priority order, each with its slot multiset: the five-slot zf
+code, the two pair codes, then the one-slot codes in name order, so the
+all-links fallback comes right after the standalone all-links code.
+schedule_codes walks the list once over a window's topology histogram and
+gives each kind as many blocks as the remaining counts allow. A kind
+exists at a shape exactly when its builder returns there, so the shape
+rules (antenna-ratio thresholds, the all-links special cases) live in the
+builders alone.
 
 run_simulation draws the channels, the window's topology histogram (one
 multinomial draw; the scheduler reads nothing else) and the spot-check
@@ -25,11 +26,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Mapping, NamedTuple, Tuple, Union
+from typing import Dict, Mapping, Union
 
 import numpy as np
 
 from .builders import (
+    CODES,
     build_f_fallback,
     build_single_topology_code,
     build_z_pair_code,
@@ -39,14 +41,15 @@ from .channel import (
     Dimensions,
     TOPOLOGIES,
     Topology,
+    _check_count,
     sample_channels,
     sample_topology_counts,
     sample_topology_indices,
 )
-# Bound under its old name, which the benchmark's tracer looks up here.
+# sic_decode is bound under its old name, which the benchmark's tracer looks up here.
 from .decode import factor_receivers, reconstruction_error, sic_decode
 from .formulas import composite_achievable
-from .schemes import CodeScheme, effective_channel
+from .schemes import effective_channel
 
 __all__ = [
     "Allocation",
@@ -54,38 +57,19 @@ __all__ = [
     "run_simulation",
     "SimResult",
     # Not called here: the benchmark's tracer and its tests resolve the
-    # per-slot sampler through this module.
+    # per-slot sampler and these builders through this module.
     "sample_topology_indices",
+    "build_f_fallback",
+    "build_single_topology_code",
+    "build_z_pair_code",
+    "build_zf_code",
 ]
 
-
-class _Kind(NamedTuple):
-    uses: Mapping[str, int]  # slots of one block, per topology
-    build: Callable[[Dimensions], CodeScheme]  # raises ValueError where the kind does not exist
-
-
-def _kind(slots: Tuple[str, ...], build: Callable[[Dimensions], CodeScheme]) -> _Kind:
-    return _Kind(Counter(slots), build)
-
-
-# The builders are called through this module's bindings, which the
-# benchmark's tracer rebinds. The order is also the decode order, which
-# fixes each kind's spot-check messages.
-_KINDS: Dict[str, _Kind] = {
-    "zf": _kind(("z1", "z2", "z3", "z4", "f"), lambda dims: build_zf_code(dims)),
-    "z12": _kind(("z1", "z2"), lambda dims: build_z_pair_code(dims, "z12")),
-    "z34": _kind(("z3", "z4"), lambda dims: build_z_pair_code(dims, "z34")),
-    # "f_fallback" sorts right after "f", the code it stands in for.
-    **dict(
-        sorted(
-            [("f_fallback", _kind(("f",), lambda dims: build_f_fallback(dims)))]
-            + [
-                (t, _kind((t,), lambda dims, t=t: build_single_topology_code(t, dims)))
-                for t in TOPOLOGIES
-                if t != "empty"
-            ]
-        )
-    ),
+# Each kind's slot multiset, in priority order. The order is also the
+# decode order, which fixes each kind's spot-check messages.
+_KINDS: Dict[str, Mapping[str, int]] = {
+    name: Counter(CODES[name].slots)
+    for name in ("zf", "z12", "z34", *sorted(k for k, c in CODES.items() if len(c.slots) == 1 and k != "empty"))
 }
 
 
@@ -102,27 +86,21 @@ class Allocation:
     leftover: Dict[str, int] = field(default_factory=dict)
 
     def slots_total(self) -> int:
-        used = sum(sum(_KINDS[k].uses.values()) * c for k, c in self.blocks.items())
+        used = sum(len(CODES[k].slots) * c for k, c in self.blocks.items())
         return used + sum(self.leftover.values())
 
 
-def _normalize_hist(
-    hist: Mapping[Union[str, Topology], int]
-) -> Dict[str, int]:
+def _normalize_hist(hist: Mapping[Union[str, Topology], int]) -> Dict[str, int]:
     out = {name: 0 for name in TOPOLOGIES}
     for key, count in hist.items():
         name = key.name if isinstance(key, Topology) else key
         if name not in out:
             raise ValueError(f"unknown topology {name!r}")
-        if count < 0:
-            raise ValueError("topology counts must be non-negative")
-        out[name] += int(count)
+        out[name] += _check_count(count, "a topology count")
     return out
 
 
-def schedule_codes(
-    hist: Mapping[Union[str, Topology], int], dims: Dimensions
-) -> Allocation:
+def schedule_codes(hist: Mapping[Union[str, Topology], int], dims: Dimensions) -> Allocation:
     """Allocate counted slots to code blocks for the given shape.
 
     Each kind, in priority order, takes as many whole blocks as the slots
@@ -134,16 +112,16 @@ def schedule_codes(
     counts = _normalize_hist(hist)
     remaining = dict(counts)
     alloc = Allocation()
-    for name, kind in _KINDS.items():
-        blocks = min(remaining[t] // u for t, u in kind.uses.items())
+    for name, uses in _KINDS.items():
+        blocks = min(remaining[t] // u for t, u in uses.items())
         if blocks == 0:
             continue
         try:
-            kind.build(dims)
+            CODES[name].build(dims)
         except ValueError:
             continue  # the kind does not exist at this shape
         alloc.blocks[name] = blocks
-        for t, u in kind.uses.items():
+        for t, u in uses.items():
             remaining[t] -= u * blocks
     # "empty" has no kind, so its count is always reported, even when 0.
     alloc.leftover = {t: c for t, c in remaining.items() if c or t == "empty"}
@@ -197,8 +175,7 @@ def run_simulation(
     (reconstruction_error), and a failed (or non-finite) decode raises.
     Raises ValueError unless n is an integer in [1, 2**63).
     """
-    if not (isinstance(n, (int, np.integer)) and 0 < n < 2**63):
-        raise ValueError("n must be an integer in [1, 2**63)")
+    _check_count(n, "n", low=1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability p must lie in [0, 1]")
     if not 0.0 <= decode_fraction <= 1.0:
@@ -207,7 +184,7 @@ def run_simulation(
     channels = sample_channels(dims, seed)
     topo_seq, msg_seq = np.random.SeedSequence(seed).spawn(2)
     alloc = schedule_codes(sample_topology_counts(p, n, topo_seq), dims)
-    kinds = [(_KINDS[name].build(dims), count) for name, count in alloc.blocks.items()]
+    kinds = [(CODES[name].build(dims), count) for name, count in alloc.blocks.items()]
 
     # Every kind's effective channel on the draw, up to the first that
     # fails; its error is raised after the kinds before it are decoded.

@@ -1,5 +1,6 @@
 """Construction totals, preconditions, shape coverage, symmetry, and the build cache."""
 
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import burstyx as bx
 import burstyx.builders
 import burstyx.cli
+import burstyx.sim
 from burstyx.builders import _IMAGES, _SHAPE_CACHE
 
 PAIR_SHAPES = [(4, 3), (3, 2), (5, 4), (3, 4), (2, 3), (2, 2), (3, 3), (6, 6)]
@@ -229,16 +231,16 @@ def test_second_sweep_of_every_verify_label_hits_the_caches():
     shapes = [bx.Dimensions(m, n) for m in range(1, 10) for n in range(1, 10)]
     built = {}
     for dims in shapes:
-        for label, build in burstyx.cli._CONSTRUCTIONS.items():
+        for label, entry in burstyx.builders.CODES.items():
             try:
-                code = build(dims)
+                code = entry.build(dims)
             except ValueError:
                 continue
             code.receiver_columns  # built here, once per cached code
             built[label, dims] = code
     misses = [build.cache_info().misses for build in builders]
     for (label, dims), code in built.items():
-        again = burstyx.cli._CONSTRUCTIONS[label](dims)
+        again = burstyx.builders.CODES[label].build(dims)
         assert again is code, (label, dims)
         assert "receiver_columns" in vars(again), (label, dims)
     assert [build.cache_info().misses for build in builders] == misses
@@ -309,3 +311,50 @@ def test_image_effective_channel_equals_the_representatives_bit_for_bit(image):
                 assert np.array_equal(scheme.receiver_columns[rx][0], theirs), (image, m, n)
             checked += 1
     assert checked == (72 if image == "z34" else 144)
+
+
+def test_an_image_relabels_its_representatives_cached_code(monkeypatch):
+    calls = Counter()
+    for rep, build in list(burstyx.builders._REPRESENTATIVES.items()):
+
+        def counting(dims, rep=rep, build=build):
+            calls[rep] += 1
+            return build(dims)
+
+        monkeypatch.setitem(burstyx.builders._REPRESENTATIVES, rep, counting)
+    bx.build_single_topology_code.cache_clear()
+    bx.build_z_pair_code.cache_clear()
+    dims = bx.Dimensions(3, 3)  # every topology has its code here
+    for t in bx.TOPOLOGIES:
+        bx.build_single_topology_code(t, dims)
+    assert calls == {rep: 1 for rep in burstyx.builders._REPRESENTATIVES}
+    z34 = bx.build_z_pair_code(dims, "z34")
+    info = bx.build_z_pair_code.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+    assert bx.build_z_pair_code(dims, "z12").name == "pair_z12" and z34.name == "pair_z34"
+    assert bx.build_z_pair_code.cache_info().hits == 1
+
+
+def test_the_catalogue_holds_every_builder_and_matches_its_codes():
+    """verify's labels are the catalogue's, the scheduler's kinds are among
+    them, and each entry's slots are its code's wherever it builds."""
+    codes = burstyx.builders.CODES
+    assert list(burstyx.cli._LABELS.values()) == list(codes)
+    assert set(burstyx.sim._KINDS) <= set(codes)
+    builders = [getattr(burstyx.builders, name) for name in burstyx.builders.__all__]
+    for build in builders:
+        build.cache_clear()
+    built = Counter()
+    for m in range(1, 13):
+        for n in range(1, 13):
+            dims = bx.Dimensions(m, n)
+            for name, entry in codes.items():
+                try:
+                    scheme = entry.build(dims)
+                except ValueError:
+                    continue
+                assert scheme.slot_topologies == entry.slots, (name, m, n)
+                built[name] += 1
+    assert set(built) == set(codes)  # each code, ia_block, ia_refined and empty too, builds somewhere
+    # every public builder is reached through the catalogue
+    assert [name for name, build in zip(burstyx.builders.__all__, builders) if not build.cache_info().currsize] == []

@@ -123,11 +123,20 @@ def test_topology_counts_deterministic_per_seed():
     assert a != bx.sample_topology_counts(0.4, 5000, seed=10)
 
 
-@pytest.mark.parametrize("p,n", [(-0.1, 10), (1.5, 10), (float("nan"), 10), (0.5, -1)])
+# A float window is refused, not truncated; 2**63 is a ValueError, not an OverflowError.
+@pytest.mark.parametrize(
+    "p,n",
+    [(-0.1, 10), (1.5, 10), (float("nan"), 10), (0.5, -1), (0.5, 2.5), (0.5, np.float64(3.0)), (0.5, 2**63)],
+)
 def test_topology_counts_validate_like_indices(p, n):
     for sample in (bx.sample_topology_indices, bx.sample_topology_counts):
         with pytest.raises(ValueError):
             sample(p, n, 0)
+
+
+def test_numpy_integer_window_is_accepted():
+    assert sum(bx.sample_topology_counts(0.5, np.int64(3), 1).values()) == 3
+    assert bx.sample_topology_indices(0.5, np.int64(3), 1).size == 3
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (4, 2), (3, 3)])

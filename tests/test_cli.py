@@ -337,12 +337,45 @@ def test_verify_draws_each_shape_and_seed_once(capsys, monkeypatch):
     assert rc == 0
     assert sorted(drawn) == sorted((m, n, seed) for m, n in ((4, 3), (3, 3), (4, 2)) for seed in (0, 1))
     lines = capsys.readouterr().out.splitlines()
-    # records stay construction-major, seeds within, skips in place
+    # records stay construction-major, seeds within, skips in place; the
+    # repeated z12 is checked once
     z12 = [line.split()[:4] for line in lines if " z12 " in line and "4x3" in line]
-    assert z12 == [["ok", "z12", "4x3", "seed=0"], ["ok", "z12", "4x3", "seed=1"]] * 2
-    # 3 shapes x 19 labels, less the skips (z12 twice and zf at 4x2, the
-    # all-links single at 4x3), times 2 seeds
-    assert lines[-1] == "106 checks, 4 skipped, all ok"
+    assert z12 == [["ok", "z12", "4x3", "seed=0"], ["ok", "z12", "4x3", "seed=1"]]
+    # 3 shapes x 18 labels, less the skips (z12 and zf at 4x2, the all-links
+    # single at 4x3), times 2 seeds
+    assert lines[-1] == "102 checks, 3 skipped, all ok"
+
+
+def test_verify_checks_a_repeated_shape_or_construction_once(capsys, monkeypatch):
+    import burstyx.cli
+
+    real_draw, real_verify = burstyx.cli.sample_channels, burstyx.cli.verify_decodability
+    drawn, checked = [], []
+
+    def counting_draw(dims, seed):
+        drawn.append((dims.m, dims.n, seed))
+        return real_draw(dims, seed)
+
+    def counting_verify(channels, scheme, **kwargs):
+        checked.append((channels.dims.m, channels.dims.n, scheme.name))
+        return real_verify(channels, scheme, **kwargs)
+
+    monkeypatch.setattr(burstyx.cli, "sample_channels", counting_draw)
+    monkeypatch.setattr(burstyx.cli, "verify_decodability", counting_verify)
+    argv = ["verify", "--shapes", "3x3,4x3,3x3", "--constructions", "singles,zf,singles,single:f,zf",
+            "--seeds", "1", "--trials", "1"]
+    assert main(argv) == 0
+    once = capsys.readouterr().out
+    assert drawn == [(3, 3, 0), (4, 3, 0)]
+    assert len(checked) == len(set(checked)) == 2 * 17 - 1  # single:f is skipped at 4x3
+    labels = [line.split()[1] for line in once.splitlines()[:-1] if line.startswith("ok")]
+    assert labels[:17] == [f"single:{t}" for t in sorted(bx.TOPOLOGIES)] + ["zf"]
+    assert once.splitlines()[-1] == "33 checks, 1 skipped, all ok"
+    # without the repeats, the same output
+    drawn.clear()
+    assert main(["verify", "--shapes", "3x3,4x3", "--constructions", "singles,zf",
+                 "--seeds", "1", "--trials", "1"]) == 0
+    assert capsys.readouterr().out == once
 
 
 def test_verify_rejects_nonpositive_counts(capsys):
@@ -384,7 +417,7 @@ def test_verify_labels_come_from_one_table(capsys):
     import burstyx.cli
     import burstyx.sim
 
-    labels = list(burstyx.cli._CONSTRUCTIONS)
+    labels = list(burstyx.cli._LABELS)
     assert labels[:6] == ["z12", "z34", "zf", "ia_block", "ia_refined", "f_fallback"]
     assert labels[6:] == [f"single:{t}" for t in sorted(bx.TOPOLOGIES)]
     # every kind simulate schedules can be verified
@@ -417,7 +450,7 @@ def test_verify_rejects_unknown_labels_before_any_draw(capsys, monkeypatch, labe
     assert captured.out == ""
     bad = label.split(",")[-1]
     assert f"unknown construction {bad!r}" in captured.err
-    assert ", ".join(burstyx.cli._CONSTRUCTIONS) in captured.err
+    assert ", ".join(burstyx.cli._LABELS) in captured.err
 
 
 def test_verify_rejects_malformed_shape():

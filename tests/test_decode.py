@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import burstyx as bx
-import burstyx.cli
+import burstyx.builders
 import burstyx.decode
 import burstyx.sim
 from burstyx.decode import STRUCT_TOL
@@ -377,7 +377,7 @@ def test_each_receiver_is_factored_once_per_effective_channel(monkeypatch, shape
     # A run factors each scheduled kind's receivers once, whatever its decodes.
     widths.clear()
     res = bx.run_simulation(dims, 0.6, 5_000, 5, decode_fraction=0.05)
-    scheduled = [burstyx.sim._KINDS[name].build(dims) for name in res.allocation.blocks]
+    scheduled = [burstyx.builders.CODES[name].build(dims) for name in res.allocation.blocks]
     assert sorted(widths) == receiver_widths(scheduled)
     assert len(res.allocation.blocks) > 3
 
@@ -422,10 +422,9 @@ def test_stacked_factorization_equals_factoring_each_receiver_alone(m):
         dims = bx.Dimensions(m, n)
         ch = bx.sample_channels(dims, 11)
         codes = {}
-        kinds = [kind.build for kind in burstyx.sim._KINDS.values()]
-        for build in kinds + list(burstyx.cli._CONSTRUCTIONS.values()):
+        for entry in burstyx.builders.CODES.values():
             try:
-                scheme = build(dims)
+                scheme = entry.build(dims)
             except ValueError:
                 continue
             codes[id(scheme)] = scheme

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import burstyx as bx
-import burstyx.cli
+import burstyx.builders
 import burstyx.schemes
 import burstyx.sim
 from burstyx.schemes import Carrier, CodeScheme, Variable
@@ -100,17 +100,34 @@ def test_each_basis_is_computed_once_per_draw(monkeypatch):
 def test_memoized_bases_are_read_only():
     cases = [
         (_dims(4, 3), [Carrier("pinv", 3, ch=2), Carrier("pinv", 2, ch=2), Carrier("null", 1, ch=1)]),
-        (_dims(3, 4), [Carrier("pair", 2, ch=1, ch_b=2, side="a"), Carrier("pair", 2, ch=1, ch_b=2, side="b")]),
+        (_dims(3, 4), [Carrier("pair", 2, ch=1, ch_b=2, side="a"), Carrier("I-slice", 2, start=1)]),
     ]
     for dims, carriers in cases:
         channels = bx.sample_channels(dims, 4)
         blocks = [c.materialize(channels) for c in carriers]
-        for basis in channels.bases.values():
-            blocks += list(basis) if isinstance(basis, tuple) else [basis]
+        blocks += list(channels.bases.values())
         assert len(blocks) > len(carriers)
         for block in blocks:
             with pytest.raises(ValueError):
                 block[0, 0] = 1.0
+
+
+def test_every_carrier_kind_slices_one_memoized_basis():
+    """I_M and the two pair sides are stored once per draw; each kind is bounded by its basis."""
+    ch = bx.sample_channels(_dims(3, 4), 2)
+    eye = Carrier("I-slice", 2, start=1).materialize(ch)
+    assert np.array_equal(eye, np.eye(3, 2, -1))
+    Carrier("pair", 1, ch=1, ch_b=2, side="a").materialize(ch)
+    assert set(ch.bases) == {("I-slice", None), ("pair", 1, 2, "a"), ("pair", 1, 2, "b")}
+    assert eye.base is Carrier("I-slice", 1).materialize(ch).base is ch.bases["I-slice", None]
+    bad = [
+        (Carrier("I-slice", 2, start=2), "I-slice slice exceeds available columns"),
+        (Carrier("pair", 3, ch=1, ch_b=2, side="b"), "pair slice exceeds available columns"),
+        (Carrier("pair", 2, ch=1, ch_b=2, side="b", start=1), "pair slice exceeds available columns"),
+    ]
+    for carrier, message in bad:
+        with pytest.raises(ValueError, match=message):
+            carrier.materialize(ch)
 
 
 def test_leading_pinv_carrier_is_the_alignment_block():
@@ -194,12 +211,11 @@ def test_effective_channel_sends_each_variable_in_its_slots_only():
 
 
 def _every_code(dims):
-    """Each distinct code of the scheduler's kinds and of the verify labels at dims."""
-    builds = [kind.build for kind in burstyx.sim._KINDS.values()] + list(burstyx.cli._CONSTRUCTIONS.values())
+    """Each distinct code of the catalogue (the scheduler's kinds and the verify labels) at dims."""
     codes = {}
-    for build in builds:
+    for entry in burstyx.builders.CODES.values():
         try:
-            scheme = build(dims)
+            scheme = entry.build(dims)
         except ValueError:
             continue  # infeasible at this shape
         codes[id(scheme)] = scheme

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import burstyx as bx
+import burstyx.builders
 import burstyx.sim
 
 
@@ -69,7 +70,7 @@ def test_schedule_conserves_slots_on_random_hists():
             assert alloc.slots_total() == sum(counts)
             used = Counter(alloc.leftover)
             for name, blocks in alloc.blocks.items():
-                for t, uses in burstyx.sim._KINDS[name].uses.items():
+                for t, uses in burstyx.sim._KINDS[name].items():
                     used[t] += uses * blocks
             assert used == Counter({t: c for t, c in hist.items() if c})
 
@@ -79,6 +80,19 @@ def test_schedule_rejects_negative_counts():
         bx.schedule_codes(_hist(z1=-1), bx.Dimensions(4, 3))
 
 
+@pytest.mark.parametrize("count", [2.5, np.float64(3.0), -1, 2**63])
+def test_schedule_rejects_counts_that_are_not_integers_below_2_63(count):
+    """A float count is refused, not truncated to fewer blocks."""
+    with pytest.raises(ValueError, match="a topology count must be an integer"):
+        bx.schedule_codes({"f": count}, bx.Dimensions(3, 3))
+
+
+def test_schedule_accepts_numpy_integer_counts():
+    alloc = bx.schedule_codes({"f": np.int64(2), bx.TOPOLOGIES["s11"]: np.uint8(1)}, bx.Dimensions(3, 3))
+    assert alloc.blocks == {"f": 2, "s11": 1}
+    assert alloc.slots_total() == 3
+
+
 def test_each_kind_occupies_the_slots_of_its_code():
     """A kind's slot multiset is its code's, wherever the code builds, and
     its code carries at least one symbol there."""
@@ -86,24 +100,24 @@ def test_each_kind_occupies_the_slots_of_its_code():
     for m in range(1, 13):
         for n in range(1, 13):
             dims = bx.Dimensions(m, n)
-            for name, kind in burstyx.sim._KINDS.items():
+            for name, uses in burstyx.sim._KINDS.items():
                 try:
-                    scheme = kind.build(dims)
+                    scheme = burstyx.builders.CODES[name].build(dims)
                 except ValueError:
                     continue
-                assert Counter(scheme.slot_topologies) == kind.uses, (name, m, n)
+                assert Counter(scheme.slot_topologies) == uses, (name, m, n)
                 assert scheme.total_symbols >= 1, (name, m, n)
                 built[name] += 1
     assert set(built) == set(burstyx.sim._KINDS)
 
 
-def test_fluid_yield_matches_composite_achievable_exactly():
-    """With p = a/b, a window of b**4 * P(t) slots of each topology t is a
-    whole number of every slot count, so the schedule's symbols per slot is
-    the fluid-limit rate. It equals composite_achievable everywhere except
-    where the open regime's leftover all-links slots fall to the fallback,
-    which delivers max(m, n) where the closed form credits 4/3 of it."""
-    cases = Counter()
+def _fluid_yields():
+    """(m, n, p, alloc, symbols per slot) at p = a/b and m, n in 1..12.
+
+    A window of b**4 * P(t) slots of each topology t is a whole number of
+    every slot count, so the schedule's symbols per slot (a Fraction) is
+    the fluid-limit rate.
+    """
     for a, b in ((1, 5), (1, 2), (3, 5), (7, 10), (9, 10)):
         p = Fraction(a, b)
         hist = {t: a**t.n_on * (b - a) ** (4 - t.n_on) for t in bx.TOPOLOGY_BY_INDEX}
@@ -113,33 +127,69 @@ def test_fluid_yield_matches_composite_achievable_exactly():
                 dims = bx.Dimensions(m, n)
                 alloc = bx.schedule_codes(hist, dims)
                 symbols = sum(
-                    burstyx.sim._KINDS[name].build(dims).total_symbols * blocks
+                    burstyx.builders.CODES[name].build(dims).total_symbols * blocks
                     for name, blocks in alloc.blocks.items()
                 )
-                mn, mx = min(m, n), max(m, n)
-                if not (3 * mn > 2 * mx and p > Fraction(1, 2)):
-                    case, shortfall = "closed", 0
-                elif m == n and m % 3 == 0:
-                    case, shortfall = "open, standalone f", 0
-                else:
-                    case, shortfall = "open, f_fallback", Fraction(mx, 3) * p**3 * (2 * p - 1)
-                    assert "f_fallback" in alloc.blocks
-                cases[case] += 1
-                expected = bx.composite_achievable(m, n, a / b)
-                assert float(Fraction(symbols, b**4) + shortfall) == pytest.approx(expected, rel=1e-12), (m, n, p)
+                yield m, n, p, alloc, Fraction(symbols, b**4)
+
+
+def _closed(m, n, p):
+    return not (3 * min(m, n) > 2 * max(m, n) and p > Fraction(1, 2))
+
+
+def test_fluid_yield_matches_composite_achievable_exactly():
+    """The fluid yield equals composite_achievable everywhere except where
+    the open regime's leftover all-links slots fall to the fallback, which
+    delivers max(m, n) where the closed form credits 4/3 of it."""
+    cases = Counter()
+    for m, n, p, alloc, rate in _fluid_yields():
+        mx = max(m, n)
+        if _closed(m, n, p):
+            case, shortfall = "closed", 0
+        elif m == n and m % 3 == 0:
+            case, shortfall = "open, standalone f", 0
+        else:
+            case, shortfall = "open, f_fallback", Fraction(mx, 3) * p**3 * (2 * p - 1)
+            assert "f_fallback" in alloc.blocks
+        cases[case] += 1
+        expected = bx.composite_achievable(m, n, float(p))
+        assert float(rate + shortfall) == pytest.approx(expected, rel=1e-12), (m, n, p)
     assert cases == {"closed": 576, "open, standalone f": 12, "open, f_fallback": 132}
 
 
-def test_run_simulation_builds_through_the_module_binding(monkeypatch):
-    """The benchmark's tracer wraps the builders where sim calls them."""
-    real = burstyx.sim.build_zf_code
+def test_closed_regime_fluid_yield_is_the_dof_and_upper_bound_a_from_r_one_half():
+    """At the closed-regime fluid points yield / max(m, n) is normalized_dof.
+    upper_bound_a meets it at r >= 1/2; below r = 1/2 it exceeds it by
+    2 p^2 q (1 - 2r)."""
+    points = below = 0
+    for m, n, p, _alloc, rate in _fluid_yields():
+        if not _closed(m, n, p):
+            continue
+        points += 1
+        r, mx = Fraction(min(m, n), max(m, n)), max(m, n)
+        normalized = float(rate / mx)
+        assert normalized == pytest.approx(bx.normalized_dof(float(r), float(p)), rel=1e-12), (m, n, p)
+        bound = bx.upper_bound_a(float(r), float(p))
+        if 2 * r >= 1:
+            assert normalized == pytest.approx(bound, rel=1e-12), (m, n, p)
+        else:
+            below += 1
+            assert normalized < bound, (m, n, p)
+            excess = 2 * p**2 * (1 - p) * (1 - 2 * r)
+            assert bound - normalized == pytest.approx(float(excess), rel=1e-9), (m, n, p)
+    assert points == 576 and below > 0
+
+
+def test_run_simulation_builds_through_the_catalogue(monkeypatch):
+    """sim builds every kind through its builders.CODES entry."""
+    entry = burstyx.builders.CODES["zf"]
     calls = []
 
     def counting(dims):
         calls.append(dims)
-        return real(dims)
+        return entry.build(dims)
 
-    monkeypatch.setattr(burstyx.sim, "build_zf_code", counting)
+    monkeypatch.setitem(burstyx.builders.CODES, "zf", entry._replace(build=counting))
     dims = bx.Dimensions(4, 3)
     res = bx.run_simulation(dims, 0.7, 20_000, seed=1, decode_fraction=0.0)
     assert "zf" in res.allocation.blocks
@@ -260,7 +310,7 @@ def test_simulation_names_the_first_failing_variable(monkeypatch):
     assert f"variable {names[0]!r} reconstructed" in str(exc.value)
 
 
-@pytest.mark.parametrize("n", [0, -3, 2.5, 100.0, 2**63, 2**64])
+@pytest.mark.parametrize("n", [0, -3, 2.5, 100.0, 2**63, 2**64, np.float64(3.0), -1])
 def test_simulation_rejects_bad_window_lengths(n):
     with pytest.raises(ValueError, match="n must be an integer"):
         bx.run_simulation(bx.Dimensions(3, 2), 0.5, n, seed=1)
@@ -328,8 +378,8 @@ def test_simulation_raises_the_first_failure_in_catalogue_order(monkeypatch, fau
         wide = replace(v, carrier=Carrier("pinv", 4, ch=1))
         broken = replace(z12, name="z12_wide", variables=(wide,) + z12.variables[1:])
         error, message = ValueError, "pinv slice exceeds"
-    kind = burstyx.sim._KINDS["z12"]._replace(build=lambda dims: broken)
-    monkeypatch.setitem(burstyx.sim._KINDS, "z12", kind)
+    entry = burstyx.builders.CODES["z12"]._replace(build=lambda dims: broken)
+    monkeypatch.setitem(burstyx.builders.CODES, "z12", entry)
     with pytest.raises(error, match=message):
         bx.run_simulation(dims, 0.5, 5_000, seed=6)
 
