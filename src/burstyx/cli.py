@@ -58,6 +58,10 @@ _MAX_ANTENNAS = 64
 _MAX_SEEDS = 100_000
 _MAX_TRIALS = 1_000
 
+# table --json and each verify --json record: the output of
+# json.dumps(obj, indent=2, sort_keys=True), from one encoder per process.
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
@@ -92,7 +96,7 @@ def _parse_shapes(text: str) -> List[Dimensions]:
 def _cmd_table(args: argparse.Namespace) -> int:
     profile = dof_profile(args.m, args.n, args.p)
     if args.json:
-        print(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
+        print(_JSON.encode(profile.to_dict()))
         return 0
     print(f"shape {args.m}x{args.n}  r {_fmt(profile.r)}  p {_fmt(profile.p)}  regime {profile.regime}")
     rows = [
@@ -198,7 +202,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for _label, _scheme, label_records in cases:
             for rec in label_records:
                 if args.json:
-                    item = json.dumps(rec, indent=2, sort_keys=True).replace("\n", "\n  ")
+                    item = _JSON.encode(rec).replace("\n", "\n  ")
                     sys.stdout.write(("," if written else "") + "\n  " + item)
                 elif rec["status"] == "skip":
                     print(f"skip {rec['construction']:16s} {rec['shape']:6s} {rec['reason']}")

@@ -38,6 +38,13 @@ def test_table_json_open_regime_leaves_dof_null(capsys):
     assert data["regime"] == "open"
 
 
+@pytest.mark.parametrize("m, n, p", [(4, 3, 0.8), (4, 3, 0.5), (4, 2, 0.9), (12, 23, 0.01)])
+def test_table_json_is_json_dumps_byte_for_byte(capsys, m, n, p):
+    assert main(["table", "--m", str(m), "--n", str(n), "--p", str(p), "--json"]) == 0
+    expected = json.dumps(bx.dof_profile(m, n, p).to_dict(), indent=2, sort_keys=True)
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_curves_header_and_known_row(capsys):
     rc = main(["curves", "--sweep", "p", "--fixed", "0.75", "--step", "0.25",
                "--series", "dof,lb"])
@@ -146,6 +153,21 @@ def test_readme_verify_example_opens_and_closes_the_output(capsys):
     assert main(command.split()[1:]) == 0
     out = capsys.readouterr().out.splitlines()
     assert (out[0], out[-1]) == (first, last)
+
+
+def test_readme_claims_table_names_tests_that_exist_and_commands_that_run(capsys):
+    block = _readme().split("## The paper's claims\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in block.splitlines() if line.startswith("| ") and "::" in line]
+    assert len(rows) == 4
+    tests_dir = Path(__file__).resolve().parent
+    for row in rows:
+        _claim, test, shown = row.strip("| ").split(" | ")
+        path, name = test.split("`")[1].split("::")
+        assert f"\ndef {name}(" in (tests_dir.parent / path).read_text(), test
+        command = shown.split("`")[1]
+        if command.startswith("burstyx "):
+            assert main(command.split()[1:]) == 0, command
+    capsys.readouterr()
 
 
 def test_readme_library_example_runs():

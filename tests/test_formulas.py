@@ -6,6 +6,8 @@ shows up as an exact-value failure here.
 """
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,7 +250,8 @@ def test_gap_search_frozen_location():
     assert res.gap == pytest.approx(0.0512756, abs=1e-6)
 
 
-@pytest.mark.parametrize("step", [0.001, 0.005, 0.02, 0.25])
+# 0.0123 and 0.003 leave a partial last block of rows
+@pytest.mark.parametrize("step", [0.001, 0.005, 0.02, 0.25, 0.0123, 0.003])
 def test_gap_search_equals_the_full_meshgrid_bit_for_bit(step):
     k = np.arange(1, int(round(1.0 / step)) + 1)
     grid = np.round(k * step, 12)
@@ -256,6 +259,74 @@ def test_gap_search_equals_the_full_meshgrid_bit_for_bit(step):
     gap = 1.0 - _lb(rr, pp) / np.minimum(_ua(rr, pp), _ub(rr, pp))
     idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
     assert bx.max_gap_search(step) == bx.GapResult(float(rr[idx]), float(pp[idx]), float(gap[idx]))
+
+
+@pytest.mark.parametrize("step", [0.001, 0.0123, 0.25])
+def test_gap_search_returns_the_first_of_tied_maxima(monkeypatch, step):
+    # a zero lower bound puts every grid point at gap 1.0, in every block
+    monkeypatch.setattr(burstyx.formulas, "_lb", lambda r, p: 0.0 * r * p)
+    k = np.arange(1, int(round(1.0 / step)) + 1)
+    grid = np.round(k * step, 12)
+    first_r = float(grid[grid > 2.0 / 3.0][0])
+    first_p = float(grid[grid > 0.5][0])
+    assert bx.max_gap_search(step) == bx.GapResult(first_r, first_p, 1.0)
+
+
+def _gap_search_peak_bytes(step):
+    tracemalloc.start()
+    try:
+        bx.max_gap_search(step)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gap_search_working_memory_grows_as_one_over_step():
+    bx.max_gap_search(0.001)  # warm numpy's first-call allocations
+    fine, coarse = _gap_search_peak_bytes(0.001), _gap_search_peak_bytes(0.002)
+    assert fine < 1_000_000
+    assert fine / coarse < 2.5  # a full grid of either step gives about 4
+
+
+def _golden_max(f, lo, hi, tol=1e-12):
+    """Arg max of a unimodal f on [lo, hi] by golden-section search."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = f(a), f(b)
+    while hi - lo > tol:
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + g * (hi - lo)
+            fb = f(b)
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - g * (hi - lo)
+            fa = f(a)
+    return (lo + hi) / 2.0
+
+
+def _worst_r(p):
+    """(gap, r) at the worst r in [2/3, 1] for one p. Each bound is affine
+    in r, so lb/ua and lb/ub are monotone in r and the worst r is 2/3, 1
+    or the crossing ua = ub."""
+    candidates = [2.0 / 3.0, 1.0]
+    slope = (_ua(1.0, p) - _ua(0.0, p)) - (_ub(1.0, p) - _ub(0.0, p))
+    if slope != 0.0:
+        crossing = (_ub(0.0, p) - _ua(0.0, p)) / slope
+        if 2.0 / 3.0 < crossing < 1.0:
+            candidates.append(crossing)
+    return max((1.0 - _lb(r, p) / min(_ua(r, p), _ub(r, p)), r) for r in candidates)
+
+
+def test_open_regime_gap_supremum_is_within_five_point_two_percent():
+    """The abstract's "within 5.2%": the supremum of 1 - lb/min(ua, ub)
+    over r > 2/3, p > 1/2, located without a grid."""
+    p = _golden_max(lambda x: _worst_r(x)[0], 0.5, 1.0)
+    gap, r = _worst_r(p)
+    assert gap == pytest.approx(0.0513505, abs=1e-6)
+    assert r == pytest.approx(0.811944, abs=1e-6)
+    assert p == pytest.approx(0.767142, abs=1e-6)
+    assert bx.max_gap_search(0.001).gap <= gap < 0.052
 
 
 def test_gap_value_at_reference_point():

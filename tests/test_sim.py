@@ -180,6 +180,26 @@ def test_closed_regime_fluid_yield_is_the_dof_and_upper_bound_a_from_r_one_half(
     assert points == 576 and below > 0
 
 
+def test_five_slot_code_is_needed_for_the_dof_at_p_up_to_one_half(monkeypatch):
+    """The abstract's "codes over as many as 5 topologies": at r > 2/3 and
+    p <= 1/2 the full catalogue's fluid yield is composite_achievable, and
+    without the five-slot zf code it falls short at every such point, by
+    up to 5% (square shapes not divisible by 3, p = 1/2, 1x1 among them)."""
+    full = {(m, n, p): rate for m, n, p, _alloc, rate in _fluid_yields()}
+    # a new dict: deleting and restoring the key would move zf to the end
+    kinds = {name: uses for name, uses in burstyx.sim._KINDS.items() if name != "zf"}
+    monkeypatch.setattr(burstyx.sim, "_KINDS", kinds)
+    drops = {}
+    for m, n, p, alloc, rate in _fluid_yields():
+        if 3 * min(m, n) > 2 * max(m, n) and p <= Fraction(1, 2):
+            assert "zf" not in alloc.blocks
+            assert float(full[m, n, p]) == pytest.approx(bx.composite_achievable(m, n, float(p)), rel=1e-12)
+            assert rate < full[m, n, p], (m, n, p)
+            drops[m, n, p] = 1 - rate / full[m, n, p]
+    assert len(drops) == 96
+    assert max(drops.values()) == drops[1, 1, Fraction(1, 2)] == Fraction(1, 20)
+
+
 def test_run_simulation_builds_through_the_catalogue(monkeypatch):
     """sim builds every kind through its builders.CODES entry."""
     entry = burstyx.builders.CODES["zf"]
