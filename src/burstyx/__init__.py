@@ -35,7 +35,6 @@ from .schemes import (
 )
 from .decode import (
     DecodeError,
-    DecodeMetrics,
     VerifyResult,
     sic_decode,
     verify_decodability,
@@ -89,7 +88,6 @@ __all__ = [
     "Variable",
     "effective_channel",
     "DecodeError",
-    "DecodeMetrics",
     "VerifyResult",
     "sic_decode",
     "verify_decodability",

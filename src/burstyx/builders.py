@@ -3,8 +3,8 @@
 Channel index conventions (see channel.ChannelSet): h(1) is rx1 from tx1,
 h(2) rx1 from tx2, h(3) rx2 from tx1, h(4) rx2 from tx2. A carrier built on
 null(h(k)) is invisible at the receiver of link k; a pseudo-inverse carrier
-on h(k) lands on consecutive coordinates of that receiver's space, the
-leading ones (an alignment block) when it starts at column 0.
+on h(k) lands on the leading coordinates of that receiver's space (an
+alignment block).
 
 Single-slot codes exist for all sixteen topologies; the all-links topology
 is the only one with shape restrictions, and build_f_fallback covers the
@@ -42,9 +42,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
-from .channel import Dimensions, TOPOLOGIES, TOPOLOGY_BY_INDEX, Topology
+from .channel import Dimensions, TOPOLOGIES, TOPOLOGY_BY_INDEX
 from .schemes import Carrier, CodeScheme, Variable
 
 __all__ = [
@@ -73,8 +73,8 @@ def _ident(width: int, start: int = 0) -> Carrier:
     return Carrier("I-slice", width, start=start)
 
 
-def _pinv(ch: int, width: int, start: int = 0) -> Carrier:
-    return Carrier("pinv", width, ch=ch, start=start)
+def _pinv(ch: int, width: int) -> Carrier:
+    return Carrier("pinv", width, ch=ch)
 
 
 def _null(ch: int, width: int) -> Carrier:
@@ -251,14 +251,13 @@ def build_f_fallback(dims: Dimensions) -> CodeScheme:
 
 
 @lru_cache(maxsize=len(TOPOLOGIES) * _SHAPE_CACHE)
-def build_single_topology_code(topology: Union[str, Topology], dims: Dimensions) -> CodeScheme:
-    """One-slot code for a fixed topology.
+def build_single_topology_code(name: str, dims: Dimensions) -> CodeScheme:
+    """One-slot code for the topology of that name, a key of TOPOLOGIES.
 
     Unsupported only for the all-links topology at shapes where neither
     two-sided zero forcing nor the equal-antenna split applies; see
     build_f_fallback for the substitute used by the scheduler.
     """
-    name = topology.name if isinstance(topology, Topology) else topology
     if name not in TOPOLOGIES:
         raise ValueError(f"unknown topology {name!r}")
     if name not in _IMAGES:

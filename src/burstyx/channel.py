@@ -53,17 +53,16 @@ __all__ = [
 class Dimensions:
     """Antenna counts for a run.
 
-    m, n are the antennas per transmitter / per receiver; both >= 1.
+    m, n are the antennas per transmitter / per receiver: integers in
+    [1, 2**63), as _check_count holds them.
     """
 
     m: int
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ValueError("m must be a positive integer")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError("n must be a positive integer")
+        _check_count(self.m, "m", low=1)
+        _check_count(self.n, "n", low=1)
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,8 @@ _SAMPLE_CHUNK = 16_384  # slots per draw in sample_topology_indices
 
 
 def _check_count(n: int, what: str, low: int = 0) -> int:
-    """n as an int if it is an integer in [low, 2**63), the int64 range; a float is refused, not truncated."""
-    if not (isinstance(n, (int, np.integer)) and low <= n < 2**63):
+    """n as an int if an integer in [low, 2**63), the int64 range; a float or bool is refused."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and low <= n < 2**63):
         raise ValueError(f"{what} must be an integer in [{low}, 2**63)")
     return int(n)
 

@@ -34,10 +34,11 @@ raises a receiver's DecodeError when it reaches that receiver.
 The memo keeps the receiver's projected rows P H, with P = I - U_r U_r^T,
 so each call projects y_j as one product (P H) x and solves with the
 cached factorization, whose residual check holds every column to
-rel_tol. A message x is one array in the scheme's column order
+linalg.RECON_TOL. A message x is one array in the scheme's column order
 (CodeScheme.columns), and so is its decode. reconstruction_error is the
-one reconstruction gate, which verify_decodability and run_simulation
-share. Every check is written as ``not value <= tol``, so a NaN fails it.
+one reconstruction gate, at RECON_TOL, which verify_decodability and
+run_simulation share. Every check is written as ``not value <= tol``, so
+a NaN fails it.
 """
 
 from __future__ import annotations
@@ -50,12 +51,11 @@ from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from .channel import ChannelSet
-from .linalg import solve_exact
+from .linalg import RECON_TOL, solve_exact
 from .schemes import CodeScheme, EffectiveChannel, effective_channel
 
 __all__ = [
     "DecodeError",
-    "DecodeMetrics",
     "VerifyResult",
     "factor_receivers",
     "reconstruction_error",
@@ -72,12 +72,6 @@ class DecodeError(RuntimeError):
     def __init__(self, message: str, separation: float, null_residual: float):
         super().__init__(message)
         self.separation, self.null_residual = separation, null_residual
-
-
-@dataclass
-class DecodeMetrics:
-    max_null_residual: float = 0.0
-    min_separation: float = float("inf")
 
 
 class _Receiver(NamedTuple):
@@ -180,48 +174,41 @@ def _receiver(eff: EffectiveChannel, rx: int) -> _Receiver:
 
 
 # Named for the schedule replay it replaced; the benchmark's tracer binds this name.
-def sic_decode(eff: EffectiveChannel, x: np.ndarray, rel_tol: float = 1e-6) -> Tuple[np.ndarray, DecodeMetrics]:
+def sic_decode(eff: EffectiveChannel, x: np.ndarray) -> np.ndarray:
     """Decode the noise-free observations y = H_eff x at each receiver.
 
     x is one message (total_symbols,) or a batch (total_symbols, B) with
     one message per column, laid out as eff.scheme.columns; the decode has
     its shape. Each receiver's projection and factorization are computed
-    once per effective channel, whatever the batch. Returns the decode and
-    the structural metrics. Raises DecodeError when a receiver cannot
-    separate its variables and ValueError when a projected system has a
-    residual above rel_tol.
+    once per effective channel, whatever the batch. Raises DecodeError when
+    a receiver cannot separate its variables and ValueError when a
+    projected system has a residual above RECON_TOL.
     """
-    metrics = DecodeMetrics()
     x_hat = np.empty(np.shape(x))
     for rx in (1, 2):
         desired = eff.scheme.receiver_columns[rx][0]
-        if not desired.size:
-            continue
-        rec = _receiver(eff, rx)
-        x_hat[desired] = rec.solve(rec.projected @ x, rel_tol)
-        metrics.max_null_residual = max(metrics.max_null_residual, rec.null_residual)
-        metrics.min_separation = min(metrics.min_separation, rec.separation)
-    return x_hat, metrics
+        if desired.size:
+            rec = _receiver(eff, rx)
+            x_hat[desired] = rec.solve(rec.projected @ x)
+    return x_hat
 
 
-def reconstruction_error(
-    scheme: CodeScheme, x_hat: np.ndarray, x: np.ndarray, rel_tol: float
-) -> Tuple[float, Optional[str]]:
-    """Hold each variable v of each message to rel_tol on its own.
+def reconstruction_error(scheme: CodeScheme, x_hat: np.ndarray, x: np.ndarray) -> Tuple[float, Optional[str]]:
+    """Hold each variable v of each message to RECON_TOL on its own.
 
     x and x_hat are laid out as in sic_decode; v's error in one message is
     ||x_hat_v - x_v|| / max(1, ||x_v||). Returns the worst error (NaN if
-    any is) and, when an error is above rel_tol or not finite, a message
+    any is) and, when an error is above RECON_TOL or not finite, a message
     naming the first such variable in column order; else None.
     """
     err_sq, x_sq = (np.add.reduceat(a**2, scheme.column_starts) for a in (x_hat - x, x))
     err = np.sqrt(err_sq) / np.maximum(1.0, np.sqrt(x_sq))
     err = err.max(axis=1) if err.ndim > 1 else err  # per variable, over the batch; keeps a NaN
     worst = float(err.max(initial=0.0))
-    if worst <= rel_tol:
+    if worst <= RECON_TOL:
         return worst, None
     for v, e in zip(scheme.variables, err):
-        if not e <= rel_tol:
+        if not e <= RECON_TOL:
             return worst, f"variable {v.name!r} reconstructed with relative error {e:.3e}"
     return worst, None
 
@@ -230,7 +217,6 @@ def reconstruction_error(
 class VerifyResult:
     ok: bool
     achieved_dof: int
-    trials: int
     max_rel_error: float = 0.0
     max_null_residual: float = 0.0
     min_separation: float = float("inf")
@@ -242,33 +228,35 @@ def verify_decodability(
     scheme: CodeScheme,
     trials: int = 3,
     seed: int = 0,
-    rel_tol: float = 1e-6,
 ) -> VerifyResult:
     """Decode random messages through the scheme on the given channels.
 
     Each trial draws one fresh standard normal message, decodes it, and holds
-    it to rel_tol through reconstruction_error. The messages come from child 1
-    of SeedSequence(seed), as in run_simulation, so they are independent of
-    sample_channels(dims, seed). The result carries the worst reconstruction
-    error and the structural metrics over all trials; when a receiver cannot
-    separate its variables, min_separation and max_null_residual count that
-    receiver's. Raises ValueError when trials is below 1.
+    it to RECON_TOL through reconstruction_error. The messages come from
+    child 1 of SeedSequence(seed), as in run_simulation, so they are
+    independent of sample_channels(dims, seed). The result carries the worst
+    reconstruction error over all trials and the structural metrics of the
+    receivers, read once from the memo in eff.receivers after the trials.
+    When a receiver cannot separate its variables, min_separation and
+    max_null_residual are that receiver's; a ValueError (a degenerate
+    carrier, or a residual above RECON_TOL) leaves them at inf and 0.0.
+    Raises ValueError when trials is below 1.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1,))))
-    result = VerifyResult(ok=True, achieved_dof=scheme.total_symbols, trials=trials)
+    result = VerifyResult(ok=True, achieved_dof=scheme.total_symbols)
     try:
         eff = effective_channel(channels, scheme)
         for _ in range(trials):
             x = rng.standard_normal(scheme.total_symbols)
-            x_hat, metrics = sic_decode(eff, x, rel_tol)
-            worst, failure = reconstruction_error(scheme, x_hat, x, rel_tol)
+            worst, failure = reconstruction_error(scheme, sic_decode(eff, x), x)
             result.max_rel_error = float(np.maximum(result.max_rel_error, worst))  # keeps a NaN
             if failure:
                 result.ok, result.error = False, failure
-            result.max_null_residual = max(result.max_null_residual, metrics.max_null_residual)
-            result.min_separation = min(result.min_separation, metrics.min_separation)
+        receivers = eff.receivers.values()
+        result.max_null_residual = max((rec.null_residual for rec in receivers), default=0.0)
+        result.min_separation = min((rec.separation for rec in receivers), default=float("inf"))
     except DecodeError as exc:
         result.ok, result.error = False, str(exc)
         result.min_separation = min(result.min_separation, exc.separation)

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .channel import TOPOLOGIES, _topology_law
+from .channel import TOPOLOGIES, _check_count, _topology_law
 
 __all__ = [
     "normalized_dof",
@@ -55,11 +55,23 @@ def _check_rp(r: float, p: float) -> None:
 # in-range points) and max_gap_search's grid call them directly. _ua, _ub
 # and _lb accept Python floats or numpy arrays alike. Their operation order
 # fixes every printed digit of the curves, table and gap-search outputs.
+# A receiver's rate pair bound has two branches, _pair_low (2 min <= max)
+# and _pair_high; _dof and _ua are twice a branch at (r, 1), which equals
+# the product written out bit for bit, since doubling is exact.
+
+
+def _pair_low(mn, p):
+    q = 1.0 - p
+    return mn * p * (1.0 + q)
+
+
+def _pair_high(mn, mx, p):
+    q = 1.0 - p
+    return mn * (p * p + 2.0 * p * q * q) + mx * p * p * q
 
 
 def _ua(r, p):
-    q = 1.0 - p
-    return 2.0 * r * (p * p + 2.0 * p * q * q) + 2.0 * p * p * q
+    return 2.0 * _pair_high(r, 1.0, p)
 
 
 def _ub(r, p):
@@ -80,10 +92,7 @@ def _dof(r, p):
     """The exact normalized sum DoF, or None in the open regime."""
     if 3.0 * r > 2.0 and p > 0.5:
         return None
-    if 2.0 * r <= 1.0:
-        q = 1.0 - p
-        return 2.0 * r * p * (1.0 + q)
-    return _ua(r, p)
+    return 2.0 * _pair_low(r, p) if 2.0 * r <= 1.0 else _ua(r, p)
 
 
 def _baseline(r, p):
@@ -160,8 +169,8 @@ def _composite(m, n, p):
 
 
 def _check_shape(m: int, n: int) -> None:
-    if int(m) != m or int(n) != n or m < 1 or n < 1:
-        raise ValueError("antenna counts must be positive integers")
+    _check_count(m, "m", low=1)
+    _check_count(n, "n", low=1)
 
 
 def rate_pair_bound(m: int, n: int, p: float) -> float:
@@ -175,10 +184,7 @@ def rate_pair_bound(m: int, n: int, p: float) -> float:
 
 def _rate_pair(m, n, p):
     mn, mx = min(m, n), max(m, n)
-    q = 1.0 - p
-    if 2 * mn <= mx:
-        return mn * p * (1.0 + q)
-    return mn * (p * p + 2.0 * p * q * q) + mx * p * p * q
+    return _pair_low(mn, p) if 2 * mn <= mx else _pair_high(mn, mx, p)
 
 
 def three_rate_bound(m: int, n: int, p: float) -> float:
@@ -355,7 +361,9 @@ def dof_profile(m: int, n: int, p: float) -> DofProfile:
         p=p,
         r=r,
         regime=regime,
-        dof=_dof(r, p),
+        # The regime, tested on the integers, decides: r may round to 2/3
+        # at a shape just inside the open regime, where _dof would answer.
+        dof=None if regime == "open" else _dof(r, p),
         ub1=_ua(r, p),
         ub2=_ub(r, p),
         lb=_lb(r, p),

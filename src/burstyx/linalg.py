@@ -33,6 +33,10 @@ Solver = Callable[..., np.ndarray]
 # max(rows, cols) * eps * s_max count as zero.
 DEFAULT_EPS = 1e-12
 
+# The reconstruction gate on a solve's residual and on each decoded
+# variable's error (decode.reconstruction_error), relative to max(1, norm).
+RECON_TOL = 1e-6
+
 
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -129,11 +133,11 @@ def solve_exact(a) -> Union[Tuple[Solver, np.ndarray], Tuple[List[Optional[Solve
     deficient member's solver is None, and a member with a non-finite
     entry is deficient, with NaN singular values.
 
-    solve(y, rel_tol=1e-6) solves a @ x = y for one right-hand side
-    (rows,) or a batch (rows, B) at once, then verifies each column's
-    residual against rel_tol * ||y_j|| (absolute rel_tol when y_j is tiny);
-    a non-finite y fails it. It raises ValueError("inconsistent system")
-    when any column fails the residual check.
+    solve(y) solves a @ x = y for one right-hand side (rows,) or a batch
+    (rows, B) at once, then verifies each column's residual against
+    RECON_TOL * ||y_j|| (absolute RECON_TOL when y_j is tiny); a non-finite
+    y fails it. It raises ValueError("inconsistent system") when any column
+    fails the residual check.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 3:
@@ -165,7 +169,7 @@ def _solver(a: np.ndarray, pinv: np.ndarray) -> Solver:
     """The solve of solve_exact for a factored a with pseudo-inverse pinv."""
     rows, cols = a.shape
 
-    def solve(y, rel_tol: float = 1e-6) -> np.ndarray:
+    def solve(y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if rows != y.shape[0]:
             raise ValueError("a and y have incompatible shapes")
@@ -174,11 +178,11 @@ def _solver(a: np.ndarray, pinv: np.ndarray) -> Solver:
         x = pinv @ y
         residual = np.sqrt(np.square(a @ x - y).sum(axis=0))
         # Written so that a NaN residual (a non-finite y) fails too.
-        bad = ~(residual <= rel_tol * np.maximum(np.sqrt(np.square(y).sum(axis=0)), 1.0))
+        bad = ~(residual <= RECON_TOL * np.maximum(np.sqrt(np.square(y).sum(axis=0)), 1.0))
         if bad.any():
             raise ValueError(
                 f"inconsistent system: residual {float(np.max(residual[bad])):.3e} "
-                f"exceeds {rel_tol:.1e} * max(||y||, 1)"
+                f"exceeds {RECON_TOL:.1e} * max(||y||, 1)"
             )
         return x
 

@@ -157,7 +157,6 @@ def run_simulation(
     n: int,
     seed: int,
     decode_fraction: float = 0.01,
-    rel_tol: float = 1e-6,
 ) -> SimResult:
     """Sample a window of n slots, schedule it, and decode spot checks.
 
@@ -169,10 +168,11 @@ def run_simulation(
     bases. Blocks of one kind share the same effective channel, and the
     receivers of every kind's channel are factored in one
     factor_receivers pass. Each kind is decoded ceil(count *
-    decode_fraction) times (at least once) with fresh random messages. The messages of a kind are one
-    (total_symbols, n_dec) batch decoded by one sic_decode call; every
-    variable of every message is still held to rel_tol on its own
-    (reconstruction_error), and a failed (or non-finite) decode raises.
+    decode_fraction) times (at least once) with fresh random messages. The
+    messages of a kind are one (total_symbols, n_dec) batch decoded by one
+    sic_decode call; every variable of every message is still held to the
+    1e-6 reconstruction gate (linalg.RECON_TOL) on its own by
+    reconstruction_error, and a failed (or non-finite) decode raises.
     Raises ValueError unless n is an integer in [1, 2**63).
     """
     _check_count(n, "n", low=1)
@@ -207,8 +207,7 @@ def run_simulation(
         # Column i is message i: the draws a message-by-message loop would
         # make, in order.
         x = rng.standard_normal((n_dec, scheme.total_symbols)).T
-        x_hat, _metrics = sic_decode(eff, x, rel_tol)
-        _worst, failure = reconstruction_error(scheme, x_hat, x, rel_tol)
+        _worst, failure = reconstruction_error(scheme, sic_decode(eff, x), x)
         if failure:
             raise RuntimeError(f"scheme {scheme.name} failed decode spot check: {failure}")
         decodes_run += n_dec

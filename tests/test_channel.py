@@ -123,10 +123,13 @@ def test_topology_counts_deterministic_per_seed():
     assert a != bx.sample_topology_counts(0.4, 5000, seed=10)
 
 
-# A float window is refused, not truncated; 2**63 is a ValueError, not an OverflowError.
+# A float or bool window is refused, not truncated; 2**63 is a ValueError, not an OverflowError.
 @pytest.mark.parametrize(
     "p,n",
-    [(-0.1, 10), (1.5, 10), (float("nan"), 10), (0.5, -1), (0.5, 2.5), (0.5, np.float64(3.0)), (0.5, 2**63)],
+    [
+        (-0.1, 10), (1.5, 10), (float("nan"), 10), (0.5, -1), (0.5, 2.5), (0.5, np.float64(3.0)), (0.5, 2**63),
+        (0.5, True),
+    ],
 )
 def test_topology_counts_validate_like_indices(p, n):
     for sample in (bx.sample_topology_indices, bx.sample_topology_counts):

@@ -187,6 +187,30 @@ def test_baseline_square_multiple_uplift():
     assert direct - closed == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [4.0, True, float("inf"), float("nan"), np.float64(3.0), 0, -1, 2**63])
+def test_closed_forms_refuse_antenna_counts_that_are_not_positive_integers(count):
+    """Shapes are held as Dimensions holds them: a float or a bool is refused, not truncated."""
+    shaped = (
+        bx.composite_achievable,
+        bx.rate_pair_bound,
+        bx.three_rate_bound,
+        bx.per_topology_baseline,
+        bx.dof_profile,
+        lambda m, n, _p: bx.single_slot_symbols("f", m, n),
+    )
+    for form in shaped:
+        with pytest.raises(ValueError, match=r"m must be an integer in \[1, 2\*\*63\)"):
+            form(count, 3, 0.5)
+        with pytest.raises(ValueError, match=r"n must be an integer in \[1, 2\*\*63\)"):
+            form(3, count, 0.5)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        bx.Dimensions(count, 3)
+
+
+def test_closed_forms_accept_numpy_integer_antenna_counts():
+    assert bx.composite_achievable(np.int64(4), np.int64(3), 0.5) == bx.composite_achievable(4, 3, 0.5)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         bx.normalized_dof(0.0, 0.5)
@@ -207,9 +231,12 @@ def test_input_validation():
 # -- profiles and the gap search --------------------------------------------
 
 def test_profile_regimes():
-    for m, n, p, regime in [(4, 2, 0.9, "low"), (4, 3, 0.3, "mid"), (4, 3, 0.8, "open")]:
+    # The last shape is just inside the open regime, but its r rounds to 2/3.
+    shapes = [(4, 2, 0.9, "low"), (4, 3, 0.3, "mid"), (4, 3, 0.8, "open"), (2 * 10**16 + 1, 3 * 10**16, 0.9, "open")]
+    for m, n, p, regime in shapes:
         prof = bx.dof_profile(m, n, p)
         assert prof.regime == regime
+        assert (prof.dof is None) == (regime == "open")
         assert prof.to_dict() == dataclasses.asdict(prof)
     prof = bx.dof_profile(4, 3, 0.8)
     assert prof.dof is None

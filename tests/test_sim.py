@@ -282,11 +282,11 @@ def test_simulation_checks_every_message_of_a_batch(monkeypatch):
     real = burstyx.sim.sic_decode
     batch_widths = []
 
-    def wrong_second_message(eff, x, rel_tol=1e-6):
-        decoded, metrics = real(eff, x, rel_tol)
+    def wrong_second_message(eff, x):
+        decoded = real(eff, x)
         batch_widths.append(decoded.shape[1])
         decoded[0, 1] += 1e-3
-        return decoded, metrics
+        return decoded
 
     dims = bx.Dimensions(4, 3)
     bx.run_simulation(dims, 0.5, 20_000, seed=6, decode_fraction=0.01)
@@ -301,10 +301,10 @@ def test_simulation_fails_a_nan_decode(monkeypatch):
 
     real = burstyx.sim.sic_decode
 
-    def nan_decode(eff, x, rel_tol=1e-6):
-        decoded, metrics = real(eff, x, rel_tol)
+    def nan_decode(eff, x):
+        decoded = real(eff, x)
         decoded[eff.scheme.columns[eff.scheme.variables[-1].name]] = np.nan
-        return decoded, metrics
+        return decoded
 
     monkeypatch.setattr(burstyx.sim, "sic_decode", nan_decode)
     with pytest.raises(RuntimeError, match="failed decode spot check: variable .* relative error nan"):
@@ -317,12 +317,12 @@ def test_simulation_names_the_first_failing_variable(monkeypatch):
     real = burstyx.sim.sic_decode
     names = []
 
-    def wrong_last_two(eff, x, rel_tol=1e-6):
-        decoded, metrics = real(eff, x, rel_tol)
+    def wrong_last_two(eff, x):
+        decoded = real(eff, x)
         for v in eff.scheme.variables[-2:]:
             names.append(v.name)
             decoded[eff.scheme.columns[v.name]] += 1.0
-        return decoded, metrics
+        return decoded
 
     monkeypatch.setattr(burstyx.sim, "sic_decode", wrong_last_two)
     with pytest.raises(RuntimeError) as exc:
@@ -360,15 +360,16 @@ def test_simulation_streams_do_not_overlap_neighbouring_seeds():
 def test_spot_check_holds_each_variable_of_each_message_to_rel_tol(monkeypatch, factor, raises):
     """The one-pass check matches a per-variable, per-message norm loop."""
     import burstyx.sim
+    from burstyx.linalg import RECON_TOL
 
     real = burstyx.sim.sic_decode
 
-    def off_by_factor_of_tol(eff, x, rel_tol=1e-6):
-        decoded, metrics = real(eff, x, rel_tol)
+    def off_by_factor_of_tol(eff, x):
+        decoded = real(eff, x)
         cols = eff.scheme.columns[eff.scheme.variables[-1].name]
         decoded[cols] = x[cols]
-        decoded[cols.start] += factor * rel_tol * np.maximum(1.0, np.linalg.norm(x[cols], axis=0))
-        return decoded, metrics
+        decoded[cols.start] += factor * RECON_TOL * np.maximum(1.0, np.linalg.norm(x[cols], axis=0))
+        return decoded
 
     monkeypatch.setattr(burstyx.sim, "sic_decode", off_by_factor_of_tol)
     dims = bx.Dimensions(4, 3)
@@ -405,10 +406,10 @@ def test_simulation_raises_the_first_failure_in_catalogue_order(monkeypatch, fau
 
     real = burstyx.sim.reconstruction_error
 
-    def zf_fails(scheme, x_hat, x, rel_tol):
+    def zf_fails(scheme, x_hat, x):
         if scheme is bx.build_zf_code(dims):
             return 1.0, "variable 'forced' reconstructed with relative error 1"
-        return real(scheme, x_hat, x, rel_tol)
+        return real(scheme, x_hat, x)
 
     monkeypatch.setattr(burstyx.sim, "reconstruction_error", zf_fails)
     with pytest.raises(RuntimeError, match="zf_block failed decode spot check: variable 'forced'"):
