@@ -182,7 +182,7 @@ def sample_topology_counts(
     """
     _check_window(p, n)
     rng = np.random.Generator(np.random.Philox(seed))
-    counts = rng.multinomial(n, [topology_probability(t, p) for t in TOPOLOGY_BY_INDEX])
+    counts = rng.multinomial(n, [_topology_law(t.n_on, float(p)) for t in TOPOLOGY_BY_INDEX])
     return {t: int(c) for t, c in zip(TOPOLOGY_BY_INDEX, counts)}
 
 
@@ -197,8 +197,8 @@ class ChannelSet:
     exposes the 1..4 alias ordering h11, h12, h21, h22 used by the
     coding-scheme builders. ``bases`` memoizes the read-only bases that
     carriers slice (I_M and the pseudo-inverse, null and paired bases,
-    filled by schemes.Carrier.materialize); the matrices are read-only, so
-    an entry can never go stale.
+    filled by schemes.fill_bases, one stacked SVD per basis kind); the
+    matrices are read-only, so an entry can never go stale.
     """
 
     def __init__(

@@ -1,16 +1,19 @@
 """Per-receiver zero-forcing decode over an effective channel.
 
 Receiver j decodes from its own rows alone, over all slots of a scheme at
-once: the variables with rx == j are its desired columns H_D, every other
-variable is interference H_I. It decodes exactly when rank([H_D H_I]) -
-rank(H_I) = |D_j|, the linear decodability condition of Cadambe & Jafar
-(IEEE T-IT 2008). No receiver uses anything the other one solved.
+once: the variables with rx == j are its desired columns H_D, and every
+other variable that a link into j carries in one of its slots is
+interference H_I (CodeScheme.receiver_columns; the other variables'
+columns are exact zeros in j's rows, so they are left out). It decodes
+exactly when rank([H_D H_I]) - rank(H_I) = |D_j|, the linear
+decodability condition of Cadambe & Jafar (IEEE T-IT 2008). No receiver
+uses anything the other one solved.
 
 The work that depends only on the effective channel is done once per
 receiver and memoized in eff.receivers, read-only, by factor_receivers:
 
 - scale = max(1, ||rows||_F). Interference columns of norm at most
-  STRUCT_TOL * scale (links that are off, or zero-forced) are dropped;
+  STRUCT_TOL * scale (zero-forced ones) are dropped;
   the left singular vectors of the rest with singular value above
   STRUCT_TOL * scale span the interference. The cutoff is absolute, set
   by the rows' norm: a cutoff relative to the largest singular value of
@@ -27,9 +30,10 @@ factor_receivers does this for every receiver of several effective
 channels at once: run_simulation passes it every scheduled kind of a run,
 so each receiver is factored once per run. At these sizes a LAPACK call
 costs mostly its call overhead, so the SVDs are stacked, one per distinct
-shape; each receiver's results are bit for bit those of factoring it
-alone. sic_decode factors a channel it finds unfactored the same way, and
-raises a receiver's DecodeError when it reaches that receiver.
+shape, and the per-column cutoff tests run on Python floats; each
+receiver's results are bit for bit those of factoring it alone.
+sic_decode factors a channel it finds unfactored the same way, and raises
+a receiver's DecodeError when it reaches that receiver.
 
 The memo keeps the receiver's projected rows P H, with P = I - U_r U_r^T,
 so each call projects y_j as one product (P H) x and solves with the
@@ -99,38 +103,54 @@ def factor_receivers(effs: Sequence[EffectiveChannel]) -> Dict[Tuple[int, int], 
     # One job per receiver: index (of its channel in effs), rx, rows (its
     # rows; once the interference is projected out, P H), desired, scale,
     # residual (so far) and live (the interference columns above the cutoff).
+    # The per-column and per-singular-value tests run on Python floats: a
+    # receiver has a few dozen columns, so one tolist() costs less than the
+    # numpy calls that would mask them.
     jobs = []
     for index, eff in enumerate(effs):
-        height = eff.matrix.shape[0] // 2
-        for rx in (1, 2):
+        todo = [rx for rx in (1, 2) if rx not in eff.receivers and eff.scheme.receiver_columns[rx][0].size]
+        if not todo:
+            continue
+        height, width = eff.matrix.shape[0] // 2, eff.matrix.shape[1]
+        # Both receivers' squared column norms in one reduction, bit for bit
+        # the sums over each receiver's rows alone.
+        col_sqs = np.square(eff.matrix).reshape(2, height, width).sum(axis=1)
+        scales = np.sqrt(col_sqs.sum(axis=1)).tolist()
+        norms = np.sqrt(col_sqs).tolist()
+        for rx in todo:
             desired, interference = eff.scheme.receiver_columns[rx]
-            if rx in eff.receivers or not desired.size:
-                continue
-            h = eff.matrix[(rx - 1) * height : rx * height]
-            col_sq = np.square(h).sum(axis=0)
-            scale = max(1.0, float(np.sqrt(col_sq.sum())))
-            norms = np.sqrt(col_sq[interference])
+            scale, rx_norms = max(1.0, scales[rx - 1]), norms[rx - 1]
             cutoff = STRUCT_TOL * scale
-            residual = float(norms[norms <= cutoff].max(initial=0.0))
-            live = interference[norms > cutoff]
+            interfering = interference.tolist()
+            live = [c for c in interfering if rx_norms[c] > cutoff]
+            residual = max((rx_norms[c] for c in interfering if not rx_norms[c] > cutoff), default=0.0)
             jobs.append(SimpleNamespace(
-                index=index, rx=rx, rows=h, desired=desired, scale=scale, residual=residual, live=live
+                index=index, rx=rx, rows=eff.matrix[(rx - 1) * height : rx * height],
+                desired=desired, scale=scale, residual=residual, live=live,
             ))
 
-    for group in _by_shape((job for job in jobs if job.live.size), lambda job: job.live.size):
+    for group in _by_shape((job for job in jobs if job.live), lambda job: len(job.live)):
         u, s, _vt = np.linalg.svd(_stack([job.rows[:, job.live] for job in group]), full_matrices=False)
-        for job, u_j, s_j in zip(group, u, s):
+        # Each member's left singular vectors as rows: its leading vectors,
+        # transposed, are then a Fortran-ordered view, the layout numpy
+        # gives a masked column copy u_j[:, s_j > cutoff]. BLAS can round
+        # differently by operand layout; this keeps the products bit for
+        # bit those of that copy.
+        u_rows = np.ascontiguousarray(u.swapaxes(1, 2))
+        for job, u_j, s_j in zip(group, u_rows, s.tolist()):
+            # s_j is in descending order: the first rank values pass the cutoff.
             cutoff = STRUCT_TOL * job.scale
-            job.residual = max(job.residual, float(s_j[s_j <= cutoff].max(initial=0.0)))
-            basis = u_j[:, s_j > cutoff]
-            if basis.shape[1]:
+            rank = sum(v > cutoff for v in s_j)
+            job.residual = max([job.residual, *s_j[rank:]])
+            if rank:
+                basis = u_j[:rank].T
                 job.rows = job.rows - basis @ (basis.T @ job.rows)
 
     failures = {}
     for group in _by_shape(jobs, lambda job: job.desired.size):
         solves, sv = solve_exact(_stack([job.rows[:, job.desired] for job in group]))
-        for job, solve, sv_j in zip(group, solves, sv):
-            separation = 0.0 if solve is None else float(sv_j[-1]) / job.scale  # None: column-rank deficient
+        for job, solve, sv_min in zip(group, solves, sv[:, -1].tolist()):
+            separation = 0.0 if solve is None else sv_min / job.scale  # None: column-rank deficient
             if not separation > STRUCT_TOL:
                 failures[job.index, job.rx] = DecodeError(
                     f"rx{job.rx} cannot separate its {job.desired.size} desired columns from "
@@ -201,12 +221,17 @@ def reconstruction_error(scheme: CodeScheme, x_hat: np.ndarray, x: np.ndarray) -
     any is) and, when an error is above RECON_TOL or not finite, a message
     naming the first such variable in column order; else None.
     """
-    err_sq, x_sq = (np.add.reduceat(a**2, scheme.column_starts) for a in (x_hat - x, x))
-    err = np.sqrt(err_sq) / np.maximum(1.0, np.sqrt(x_sq))
-    err = err.max(axis=1) if err.ndim > 1 else err  # per variable, over the batch; keeps a NaN
-    worst = float(err.max(initial=0.0))
+    # x_hat - x and x, squared in one buffer, so that one reduction gives
+    # both norms of each variable.
+    sq = np.empty((2,) + np.shape(x))
+    np.subtract(x_hat, x, out=sq[0])
+    sq[1] = x
+    err, x_norm = np.sqrt(np.add.reduceat(np.square(sq, out=sq), scheme.column_starts, axis=1))
+    err /= np.maximum(x_norm, 1.0, out=x_norm)
+    worst = float(np.maximum.reduce(err, axis=None, initial=0.0))  # keeps a NaN
     if worst <= RECON_TOL:
         return worst, None
+    err = err.max(axis=1) if err.ndim > 1 else err  # per variable, over the batch; keeps a NaN
     for v, e in zip(scheme.variables, err):
         if not e <= RECON_TOL:
             return worst, f"variable {v.name!r} reconstructed with relative error {e:.3e}"

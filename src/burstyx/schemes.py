@@ -9,7 +9,8 @@ concrete channel draw:
 - Carrier: a symbolic precoder block, a column slice of one basis of the
   draw (the identity, a pseudo-inverse, a null space, or one side of a
   tall-orientation alignment pair); each basis is computed once per draw
-  and memoized in ChannelSet.bases.
+  and memoized in ChannelSet.bases by fill_bases, which computes all the
+  missing bases of one kind with one stacked SVD.
 - Variable: a named message stream that one transmitter sends to one
   receiver on one carrier, in every slot it uses; its length is the
   carrier's width.
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "CodeScheme",
     "EffectiveChannel",
     "effective_channel",
+    "fill_bases",
     # Not called here (a pinv carrier at start 0 is the alignment block, sliced
     # from the memoized basis): the benchmark's tracer and its tests resolve
     # this binding through this module.
@@ -46,32 +48,52 @@ __all__ = [
 _CARRIER_KINDS = ("I-slice", "pinv", "null", "pair")
 
 
-def _basis(channels: ChannelSet, carrier: Carrier) -> np.ndarray:
-    """The read-only basis carrier slices, computed once per draw.
+def fill_bases(channels: ChannelSet, carriers: Iterable[Carrier]) -> Dict[tuple, str]:
+    """Compute every basis the carriers slice that channels.bases lacks.
 
-    I_M for an I-slice, the pseudo-inverse or null basis of H_ch, or one
-    side of paired_alignment(H_ch, H_ch_b), whose two sides are stored from
-    one call. Memoized in channels.bases; errors are not memoized, so they
-    re-raise.
+    I_M for an I-slice, the pseudo-inverse or null basis of H_ch, or both
+    sides of paired_alignment(H_ch, H_ch_b). The missing bases of each kind
+    are one stack, computed by one stacked linalg call (one SVD), and
+    memoized in channels.bases, read-only. Raises nothing: a basis that
+    cannot be computed (a degenerate channel, or a kind that does not fit
+    the shape) stays out of the memo and its message is returned under its
+    key, so a carrier that needs it raises when materialized.
     """
-    kind, ch = carrier.kind, carrier.ch
-    key = (kind, ch, carrier.ch_b, carrier.side) if kind == "pair" else (kind, ch)
-    basis = channels.bases.get(key)
-    if basis is None:
-        if kind == "I-slice":
-            found = {key: np.eye(channels.dims.m)}
-        elif kind == "pinv":
-            found = {key: pseudo_inverse(channels.h(ch))}
-        elif kind == "null":
-            found = {key: null_space_basis(channels.h(ch))}
-        else:
-            sides = paired_alignment(channels.h(ch), channels.h(carrier.ch_b))
-            found = {key[:3] + (side,): block for side, block in zip("ab", sides)}
-        for block in found.values():
-            block.setflags(write=False)
-        channels.bases.update(found)
-        basis = found[key]
-    return basis
+    needed: Dict[str, Dict[tuple, None]] = {}  # kind -> (ch, ch_b) of each missing basis, in order of first use
+    for carrier in carriers:
+        if carrier._memo_key not in channels.bases:
+            needed.setdefault(carrier.kind, {})[carrier.ch, carrier.ch_b] = None
+    failures = {}
+    for kind, links in needed.items():
+        try:
+            bases = _stacked_bases(channels, kind, list(links))
+            failure = "degenerate channel"
+        except ValueError as exc:  # the kind does not fit the shape
+            bases, failure = [None] * len(links), str(exc)
+        for (ch, ch_b), basis in zip(links, bases):
+            if kind == "pair":
+                keys, blocks = [(kind, ch, ch_b, side) for side in "ab"], basis
+            else:
+                keys, blocks = [(kind, ch)], (basis,)
+            if basis is None:
+                failures.update(dict.fromkeys(keys, failure))
+                continue
+            for key, block in zip(keys, blocks):
+                block.setflags(write=False)
+                channels.bases[key] = block
+    return failures
+
+
+def _stacked_bases(channels: ChannelSet, kind: str, links: list) -> list:
+    """The bases of one kind for each (ch, ch_b) of links, by one stacked call; None where degenerate."""
+    if kind == "I-slice":
+        return [np.eye(channels.dims.m)]
+    stack = np.stack([channels.h(ch) for ch, _ch_b in links])
+    if kind == "pinv":
+        return pseudo_inverse(stack)
+    if kind == "null":
+        return null_space_basis(stack)
+    return paired_alignment(stack, np.stack([channels.h(ch_b) for _ch, ch_b in links]))
 
 
 @dataclass(frozen=True)
@@ -83,6 +105,10 @@ class Carrier:
       pinv     pseudo_inverse(H_ch); at start 0, alignment_block(H_ch, width)
       null     null_space_basis(H_ch)
       pair     one side (a or b) of paired_alignment(H_ch, H_ch_b)
+
+    materialize slices the basis memoized in ChannelSet.bases; on a miss it
+    calls fill_bases for this carrier alone, and raises the basis's
+    ValueError (such as "degenerate channel") when it cannot be computed.
     """
 
     kind: str
@@ -103,8 +129,20 @@ class Carrier:
             if self.ch_b is None or self.side not in ("a", "b"):
                 raise ValueError("pair carrier needs ch_b and side in {'a','b'}")
 
+    @cached_property
+    def _memo_key(self) -> tuple:
+        """The key of the basis this carrier slices in ChannelSet.bases."""
+        kind, ch = self.kind, self.ch
+        return (kind, ch, self.ch_b, self.side) if kind == "pair" else (kind, ch)
+
     def materialize(self, channels: ChannelSet) -> np.ndarray:
-        basis = _basis(channels, self)
+        key = self._memo_key
+        basis = channels.bases.get(key)
+        if basis is None:
+            failure = fill_bases(channels, (self,)).get(key)
+            if failure is not None:
+                raise ValueError(failure)
+            basis = channels.bases[key]
         if self.start + self.width > basis.shape[1]:
             raise ValueError(f"{self.kind} slice exceeds available columns")
         return basis[:, self.start : self.start + self.width]
@@ -172,14 +210,22 @@ class CodeScheme:
 
     @cached_property
     def receiver_columns(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Per receiver, the columns it decodes and the rest.
+        """Per receiver, the columns it decodes and the columns that interfere.
 
-        Computed once per scheme, like columns, and read-only.
+        A variable of another receiver interferes at rx only if its link to
+        rx is on in one of its slots; its columns are structurally zero in
+        rx's rows otherwise (exact zeros), so they are left out. Computed
+        once per scheme, like columns, and read-only.
         """
-        rx_of = np.repeat([v.rx for v in self.variables], [v.length for v in self.variables])
+        lengths = [v.length for v in self.variables]
         out = {}
         for rx in (1, 2):
-            cols = (np.flatnonzero(rx_of == rx), np.flatnonzero(rx_of != rx))
+            desired = [v.rx == rx for v in self.variables]
+            heard = [any(self.topology(slot).link(rx, v.tx) for slot in v.slots) for v in self.variables]
+            cols = tuple(
+                np.flatnonzero(np.repeat(mask, lengths))
+                for mask in (desired, [h and not d for h, d in zip(heard, desired)])
+            )
             for c in cols:
                 c.setflags(write=False)
             out[rx] = cols
@@ -247,12 +293,15 @@ class EffectiveChannel:
 def effective_channel(channels: ChannelSet, scheme: CodeScheme) -> EffectiveChannel:
     """Materialize carriers and assemble the stacked receive matrix.
 
-    Each carrier is materialized once and each of its (rx, tx) products
-    computed once, then written to every slot of scheme.placements.
+    The scheme's missing bases are filled first (fill_bases, one stacked
+    SVD per basis kind); then each carrier is materialized once and each of
+    its (rx, tx) products computed once, then written to every slot of
+    scheme.placements.
     """
     dims = channels.dims
     if (dims.m, dims.n) != (scheme.dims.m, scheme.dims.n):
         raise ValueError("channel set and scheme dimensions disagree")
+    fill_bases(channels, scheme.placements)
     n = dims.n
     matrix = np.zeros((2 * scheme.n_slots * n, scheme.total_symbols))
     for carrier, products in scheme.placements.items():

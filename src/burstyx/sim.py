@@ -9,15 +9,16 @@ schedule_codes walks the list once over a window's topology histogram and
 gives each kind as many blocks as the remaining counts allow. A kind
 exists at a shape exactly when its builder returns there, so the shape
 rules (antenna-ratio thresholds, the all-links special cases) live in the
-builders alone.
+builders alone; which kinds exist is memoized per shape.
 
 run_simulation draws the channels, the window's topology histogram (one
 multinomial draw; the scheduler reads nothing else) and the spot-check
 messages from three independent Philox streams, schedules the realized
-counts, factors every scheduled kind's receivers in one stacked pass,
-decodes a configurable fraction of blocks of each kind end to end, and
-reports the empirical per-slot symbol rate against
-composite_achievable.
+counts, computes the bases of every scheduled kind's carriers with one
+stacked SVD per basis kind (schemes.fill_bases), factors every scheduled
+kind's receivers in one stacked pass, decodes a configurable fraction of
+blocks of each kind end to end, and reports the empirical per-slot
+symbol rate against composite_achievable.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Mapping, Union
+from functools import lru_cache
+from typing import Callable, Dict, FrozenSet, Mapping, Tuple, Union
 
 import numpy as np
 
 from .builders import (
+    _SHAPE_CACHE,
     CODES,
     build_f_fallback,
     build_single_topology_code,
@@ -49,7 +52,7 @@ from .channel import (
 # sic_decode is bound under its old name, which the benchmark's tracer looks up here.
 from .decode import factor_receivers, reconstruction_error, sic_decode
 from .formulas import composite_achievable
-from .schemes import effective_channel
+from .schemes import effective_channel, fill_bases
 
 __all__ = [
     "Allocation",
@@ -71,6 +74,25 @@ _KINDS: Dict[str, Mapping[str, int]] = {
     name: Counter(CODES[name].slots)
     for name in ("zf", "z12", "z34", *sorted(k for k, c in CODES.items() if len(c.slots) == 1 and k != "empty"))
 }
+
+
+@lru_cache(maxsize=_SHAPE_CACHE)
+def _kinds_built(dims: Dimensions, builds: Tuple[Tuple[str, Callable], ...]) -> FrozenSet[str]:
+    """The names of the (name, build) pairs whose build returns at dims.
+
+    A builder's cache does not keep its ValueError, so without this memo a
+    kind that does not exist at a shape would be built, and raise, on every
+    schedule. The key holds the builds themselves, so the memo follows the
+    catalogue if an entry is replaced.
+    """
+    built = set()
+    for name, build in builds:
+        try:
+            build(dims)
+        except ValueError:
+            continue
+        built.add(name)
+    return frozenset(built)
 
 
 @dataclass
@@ -104,7 +126,9 @@ def schedule_codes(hist: Mapping[Union[str, Topology], int], dims: Dimensions) -
     """Allocate counted slots to code blocks for the given shape.
 
     Each kind, in priority order, takes as many whole blocks as the slots
-    the kinds before it left allow, if its builder returns at this shape.
+    the kinds before it left allow, if its builder returns at this shape
+    (memoized per shape, so a builder that raises runs once, not on every
+    call).
     The link-on probability plays no part: with counts in hand the greedy
     choice is the same for every p (five-slot blocks strictly dominate what
     their slots would earn separately, and pairs dominate one-slot codes).
@@ -112,14 +136,11 @@ def schedule_codes(hist: Mapping[Union[str, Topology], int], dims: Dimensions) -
     counts = _normalize_hist(hist)
     remaining = dict(counts)
     alloc = Allocation()
+    existing = _kinds_built(dims, tuple((name, CODES[name].build) for name in _KINDS))
     for name, uses in _KINDS.items():
         blocks = min(remaining[t] // u for t, u in uses.items())
-        if blocks == 0:
+        if blocks == 0 or name not in existing:
             continue
-        try:
-            CODES[name].build(dims)
-        except ValueError:
-            continue  # the kind does not exist at this shape
         alloc.blocks[name] = blocks
         for t, u in uses.items():
             remaining[t] -= u * blocks
@@ -164,10 +185,10 @@ def run_simulation(
     histogram (sample_topology_counts) and the messages come from the two
     children of SeedSequence(seed), so a run is reproducible and none of
     its streams is another seed's stream. The kinds' codes come from the
-    builders' per-shape caches, and all kinds share the draw's memoized
-    bases. Blocks of one kind share the same effective channel, and the
-    receivers of every kind's channel are factored in one
-    factor_receivers pass. Each kind is decoded ceil(count *
+    builders' per-shape caches, and all kinds share the draw's bases,
+    computed in one fill_bases pass. Blocks of one kind share the same
+    effective channel, and the receivers of every kind's channel are
+    factored in one factor_receivers pass. Each kind is decoded ceil(count *
     decode_fraction) times (at least once) with fresh random messages. The
     messages of a kind are one (total_symbols, n_dec) batch decoded by one
     sic_decode call; every variable of every message is still held to the
@@ -186,8 +207,10 @@ def run_simulation(
     alloc = schedule_codes(sample_topology_counts(p, n, topo_seq), dims)
     kinds = [(CODES[name].build(dims), count) for name, count in alloc.blocks.items()]
 
-    # Every kind's effective channel on the draw, up to the first that
+    # Every basis the kinds slice, one stacked SVD per basis kind; then
+    # every kind's effective channel on the draw, up to the first that
     # fails; its error is raised after the kinds before it are decoded.
+    fill_bases(channels, (carrier for scheme, _count in kinds for carrier in scheme.placements))
     effs, failed = [], None
     try:
         for scheme, _count in kinds:

@@ -212,3 +212,69 @@ def test_solve_exact_reports_each_deficient_member_of_a_stack():
         assert np.array_equal(solves[i](y), solve_2d(y))
     wide_solves, _s = bx.solve_exact(rng.standard_normal((2, 2, 3)))
     assert wide_solves == [None, None]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_stacked_bases_equal_each_2d_call_bit_for_bit(k):
+    """pseudo_inverse, null_space_basis and paired_alignment on a (k, m, n) stack, m, n in 1..12."""
+    rng = np.random.default_rng(31 + k)
+    checked = 0
+    for rows in range(1, 13):
+        for cols in range(1, 13):
+            stack = rng.standard_normal((k, rows, cols))
+            other = rng.standard_normal((k, rows, cols))
+            if cols >= rows:
+                for member, g in zip(stack, bx.pseudo_inverse(stack)):
+                    assert np.array_equal(g, bx.pseudo_inverse(member)), (rows, cols)
+                    checked += 1
+            if cols > rows:
+                for member, phi in zip(stack, bx.null_space_basis(stack)):
+                    assert np.array_equal(phi, bx.null_space_basis(member)), (rows, cols)
+                    checked += 1
+            if 2 * cols > rows:
+                for h_a, h_b, sides in zip(stack, other, bx.paired_alignment(stack, other)):
+                    for got, want in zip(sides, bx.paired_alignment(h_a, h_b)):
+                        assert np.array_equal(got, want), (rows, cols)
+                    checked += 1
+    assert checked == k * (78 + 66 + 108)
+
+
+def test_stacked_bases_report_each_deficient_member():
+    rng = np.random.default_rng(37)
+    stack = rng.standard_normal((3, 3, 5))
+    stack[1, 2] = stack[1, 0] - stack[1, 1]  # row-rank deficient
+    for fn in (bx.pseudo_inverse, bx.null_space_basis):
+        got = fn(stack)
+        assert got[1] is None
+        with pytest.raises(ValueError, match="degenerate channel"):
+            fn(stack[1])
+        for i in (0, 2):
+            assert np.array_equal(got[i], fn(stack[i]))
+    tall = rng.standard_normal((2, 5, 3))
+    pairs = bx.paired_alignment(tall, np.stack([tall[0], rng.standard_normal((5, 3))]))
+    assert pairs[0] is None and pairs[1] is not None
+    with pytest.raises(ValueError, match="paired channels must share a shape"):
+        bx.paired_alignment(tall, tall[0])
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (0, 2), (1, 0, 2), (3, 0, 2)])
+def test_inputs_without_rows(shape):
+    """No rows: the basis functions raise, and solve_exact finds the columns underdetermined."""
+    a = np.zeros(shape)
+    for fn in (bx.pseudo_inverse, bx.null_space_basis):
+        with pytest.raises(ValueError, match="at least one row"):
+            fn(a)
+    if a.ndim == 2:
+        with pytest.raises(ValueError, match="underdetermined"):
+            bx.solve_exact(a)
+    else:
+        solves, s = bx.solve_exact(a)
+        assert solves == [None] * shape[0] and s.shape == (shape[0], 0)
+
+
+@pytest.mark.parametrize("cols", [2, 0])
+def test_solve_refuses_a_right_hand_side_of_another_rank(cols):
+    solve, _s = bx.solve_exact(np.eye(2)[:, :cols])
+    for y in (np.float64(1.0), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="a and y have incompatible shapes"):
+            solve(y)

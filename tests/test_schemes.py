@@ -50,17 +50,27 @@ def test_pair_carrier_sides_align():
 _BASIS_FUNCTIONS = ("pseudo_inverse", "null_space_basis", "paired_alignment", "alignment_block")
 
 
-def test_each_basis_is_computed_once_per_draw(monkeypatch):
-    """Every kind of a 4x3 run shares its draw's bases."""
+def _count_basis_calls(monkeypatch, dims):
+    """Run a simulation at dims, counting the basis functions' stacked calls and members.
+
+    Returns (the kinds' codes, stacked calls per function, members per
+    (function, channel aliases)).
+    """
     drawn = {}
-    calls = Counter()
+    stacked_calls = Counter()
+    members = Counter()
+
+    def alias(h):
+        ch = drawn["channels"]
+        return next(k for k in range(1, 5) if np.array_equal(h, ch.h(k)))
 
     def counting(name, fn):
-        def wrapped(*mats, **kwargs):
-            ch = drawn["channels"]
-            aliases = tuple(next(k for k in range(1, 5) if h is ch.h(k)) for h in mats)
-            calls[(name,) + aliases] += 1
-            return fn(*mats, **kwargs)
+        def wrapped(*stacks, **kwargs):
+            assert all(np.ndim(stack) == 3 for stack in stacks), name
+            stacked_calls[name] += 1
+            for mats in zip(*stacks):
+                members[(name,) + tuple(alias(h) for h in mats)] += 1
+            return fn(*stacks, **kwargs)
 
         return wrapped
 
@@ -80,21 +90,67 @@ def test_each_basis_is_computed_once_per_draw(monkeypatch):
 
     monkeypatch.setattr(burstyx.sim, "sample_channels", sample_once)
     monkeypatch.setattr(burstyx.sim, "effective_channel", materialize_kind)
-    bx.run_simulation(_dims(4, 3), 0.5, 100_000, 3)
+    bx.run_simulation(dims, 0.5, 100_000, 3)
+    monkeypatch.undo()
+    return kinds, stacked_calls, members
 
+
+def test_each_basis_is_computed_once_per_draw(monkeypatch):
+    """Every kind of a run shares its draw's bases: each basis is one member
+    of one stacked call, and each basis kind is one stacked call per run
+    (pinv and null bases at 4x3, alignment pairs at 3x4)."""
     function_of = {"pinv": "pseudo_inverse", "null": "null_space_basis"}
-    expected = set()
-    for scheme in kinds:
-        for v in scheme.variables:
-            c = v.carrier
-            if c.kind == "pair":
-                expected.add(("paired_alignment", c.ch, c.ch_b))
-            elif c.kind != "I-slice":
-                expected.add((function_of[c.kind], c.ch))
-    assert len(kinds) >= 10
-    assert {key[0] for key in expected} == {"pseudo_inverse", "null_space_basis"}
-    assert set(calls) == expected
-    assert set(calls.values()) == {1}
+    for dims, functions in [(_dims(4, 3), {"pseudo_inverse", "null_space_basis"}), (_dims(3, 4), {"paired_alignment"})]:
+        kinds, stacked_calls, members = _count_basis_calls(monkeypatch, dims)
+        expected = set()
+        for scheme in kinds:
+            for v in scheme.variables:
+                c = v.carrier
+                if c.kind == "pair":
+                    expected.add(("paired_alignment", c.ch, c.ch_b))
+                elif c.kind != "I-slice":
+                    expected.add((function_of[c.kind], c.ch))
+        assert len(kinds) >= 10, dims
+        assert {key[0] for key in expected} == functions, dims
+        assert set(members) == expected, dims
+        assert set(members.values()) == {1}, dims
+        assert stacked_calls == Counter(dict.fromkeys(functions, 1)), dims
+
+
+def test_a_degenerate_member_of_a_stacked_pass_is_reported_alone():
+    """Its key stays out of the memo, the other members are memoized bit for
+    bit as their own 2-D calls, and a carrier that needs it raises."""
+    rng = np.random.default_rng(12)
+    wide = [rng.standard_normal((3, 4)) for _ in range(4)]
+    wide[1][2] = wide[1][0] + wide[1][1]  # h12 is row-rank deficient
+    ch = bx.ChannelSet(_dims(4, 3), *wide)
+    carriers = [Carrier(kind, 1, ch=k) for kind in ("pinv", "null") for k in range(1, 5)]
+    failures = burstyx.schemes.fill_bases(ch, carriers)
+    assert failures == {("pinv", 2): "degenerate channel", ("null", 2): "degenerate channel"}
+    assert set(ch.bases) == {(kind, k) for kind in ("pinv", "null") for k in (1, 3, 4)}
+    for k in (1, 3, 4):
+        assert np.array_equal(ch.bases["pinv", k], bx.pseudo_inverse(ch.h(k)))
+        assert np.array_equal(ch.bases["null", k], bx.null_space_basis(ch.h(k)))
+    for kind in ("pinv", "null"):
+        with pytest.raises(ValueError, match="degenerate channel"):
+            Carrier(kind, 1, ch=2).materialize(ch)
+    assert ("pinv", 2) not in ch.bases and ("null", 2) not in ch.bases
+
+    tall = [rng.standard_normal((4, 3)) for _ in range(4)]
+    tall[1] = tall[0]  # [h11 | -h12] has rank 3 < 4
+    ch = bx.ChannelSet(_dims(3, 4), *tall)
+    pairs = [Carrier("pair", 1, ch=a, ch_b=a + 1, side="a") for a in (1, 3)]
+    assert burstyx.schemes.fill_bases(ch, pairs) == {
+        ("pair", 1, 2, "a"): "degenerate channel",
+        ("pair", 1, 2, "b"): "degenerate channel",
+    }
+    assert set(ch.bases) == {("pair", 3, 4, "a"), ("pair", 3, 4, "b")}
+    ga, gb = bx.paired_alignment(ch.h(3), ch.h(4))
+    assert np.array_equal(ch.bases["pair", 3, 4, "a"], ga) and np.array_equal(ch.bases["pair", 3, 4, "b"], gb)
+    with pytest.raises(ValueError, match="degenerate channel"):
+        pairs[0].materialize(ch)
+    with pytest.raises(ValueError, match="no null space"):  # a kind that does not fit the shape fails as a whole
+        Carrier("null", 1, ch=1).materialize(ch)
 
 
 def test_memoized_bases_are_read_only():
@@ -302,19 +358,33 @@ def test_validation_rejects_bad_variables(width, slots, message):
 
 
 def test_receiver_columns_split_by_receiver_once_per_scheme():
+    """A receiver's interference is every other receiver's column that its
+    links reach; the columns left out are exactly zero in its rows."""
     scheme = bx.build_zf_code(_dims(4, 3))
     assert scheme.receiver_columns is scheme.receiver_columns
     assert scheme.columns is bx.build_zf_code(_dims(4, 3)).columns
+    eff = bx.effective_channel(bx.sample_channels(_dims(4, 3), 5), scheme)
+    height = eff.matrix.shape[0] // 2
     for rx in (1, 2):
         desired, interference = scheme.receiver_columns[rx]
-        want = [
-            col
-            for v in scheme.variables
-            if v.rx == rx
-            for col in range(scheme.columns[v.name].start, scheme.columns[v.name].stop)
-        ]
-        assert desired.tolist() == want
-        assert sorted(desired.tolist() + interference.tolist()) == list(range(scheme.total_symbols))
+
+        def columns(keep):
+            return [
+                col
+                for v in scheme.variables
+                if keep(v)
+                for col in range(scheme.columns[v.name].start, scheme.columns[v.name].stop)
+            ]
+
+        def heard(v):
+            return any(scheme.topology(slot).link(rx, v.tx) for slot in v.slots)
+
+        assert desired.tolist() == columns(lambda v: v.rx == rx)
+        assert interference.tolist() == columns(lambda v: v.rx != rx and heard(v))
+        dropped = columns(lambda v: v.rx != rx and not heard(v))
+        assert dropped
+        assert sorted(desired.tolist() + interference.tolist() + dropped) == list(range(scheme.total_symbols))
+        assert np.all(eff.matrix[(rx - 1) * height : rx * height, dropped] == 0.0)
         with pytest.raises(ValueError):
             desired[0] = 0
 

@@ -75,6 +75,32 @@ def test_schedule_conserves_slots_on_random_hists():
             assert used == Counter({t: c for t, c in hist.items() if c})
 
 
+def test_schedule_runs_each_infeasible_builder_once_per_shape(monkeypatch):
+    """A builder's cache does not keep its ValueError: the scheduler memoizes
+    which kinds exist per shape, so 100 schedules build a kind that does not
+    exist at most once (f at 4x3; zf and the pairs at 4x2)."""
+    raised = Counter()
+
+    def counting(name, build):
+        def wrapped(dims):
+            try:
+                return build(dims)
+            except ValueError:
+                raised[name, dims.m, dims.n] += 1
+                raise
+
+        return wrapped
+
+    for name, entry in list(burstyx.builders.CODES.items()):
+        monkeypatch.setitem(burstyx.builders.CODES, name, entry._replace(build=counting(name, entry.build)))
+    every_slot = _hist(**{t: 10 for t in bx.TOPOLOGIES})
+    for _ in range(100):
+        for dims in (bx.Dimensions(4, 2), bx.Dimensions(4, 3)):
+            bx.schedule_codes(every_slot, dims)
+    assert raised == {("f", 4, 3): 1, ("zf", 4, 2): 1, ("z12", 4, 2): 1, ("z34", 4, 2): 1}
+    assert burstyx.sim._kinds_built.cache_info().maxsize == burstyx.builders._SHAPE_CACHE
+
+
 def test_schedule_rejects_negative_counts():
     with pytest.raises(ValueError):
         bx.schedule_codes(_hist(z1=-1), bx.Dimensions(4, 3))
@@ -414,3 +440,28 @@ def test_simulation_raises_the_first_failure_in_catalogue_order(monkeypatch, fau
     monkeypatch.setattr(burstyx.sim, "reconstruction_error", zf_fails)
     with pytest.raises(RuntimeError, match="zf_block failed decode spot check: variable 'forced'"):
         bx.run_simulation(dims, 0.5, 5_000, seed=6)
+
+
+# np.linalg.svd calls per run at the benchmark's four points (seeds 0..19):
+# one channel rank check, one stacked call per basis kind the run needs, and
+# one per distinct shape of the receivers' stacked factorizations.
+_SVD_CALLS_PER_RUN = {(4, 3, 0.5): 11, (4, 3, 0.9): 11, (3, 3, 0.7): 10, (4, 2, 0.5): 3}
+
+
+@pytest.mark.parametrize("m, n, p", sorted(_SVD_CALLS_PER_RUN))
+def test_a_run_makes_a_bounded_number_of_svd_calls(monkeypatch, m, n, p):
+    """A guard on the stacked passes: the count is of LAPACK calls, not a timing."""
+    real = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    per_run = []
+    for seed in range(20):
+        calls.clear()
+        bx.run_simulation(bx.Dimensions(m, n), p, 100_000, seed)
+        per_run.append(len(calls))
+    assert max(per_run) <= _SVD_CALLS_PER_RUN[m, n, p], per_run
