@@ -57,9 +57,7 @@ from .formulas import (
     max_gap_search,
     normalized_dof,
     per_topology_baseline,
-    rate_pair_bound,
     single_slot_symbols,
-    three_rate_bound,
     upper_bound_a,
     upper_bound_b,
 )
@@ -106,9 +104,7 @@ __all__ = [
     "max_gap_search",
     "normalized_dof",
     "per_topology_baseline",
-    "rate_pair_bound",
     "single_slot_symbols",
-    "three_rate_bound",
     "upper_bound_a",
     "upper_bound_b",
     "Allocation",

@@ -26,7 +26,8 @@ empty                          no links
 ====  =======================  ==========================================
 
 Link ``ji`` means transmitter ``i`` -> receiver ``j``; its matrix is ``h<j><i>``
-(N x M).  Channel index aliases 1..4 map to h11, h12, h21, h22.
+(N x M).  Channel index aliases 1..4 map to h11, h12, h21, h22; an alias
+outside 1..4, or an rx or tx outside 1..2, raises ValueError.
 """
 
 from __future__ import annotations
@@ -61,8 +62,11 @@ class Dimensions:
     n: int
 
     def __post_init__(self) -> None:
-        _check_count(self.m, "m", low=1)
-        _check_count(self.n, "n", low=1)
+        _check_shape(self.m, self.n)
+
+
+# (rx, tx) of each link -> its position in alias order
+_LINK_POSITION = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,10 @@ class Topology:
 
     def link(self, rx: int, tx: int) -> bool:
         """State of the link from transmitter tx to receiver rx (1-based)."""
-        return (self.s11, self.s12, self.s21, self.s22)[2 * (rx - 1) + (tx - 1)]
+        try:
+            return self.links[_LINK_POSITION[rx, tx]]
+        except KeyError:
+            raise ValueError("rx and tx must be 1 or 2") from None
 
     @property
     def links(self) -> tuple:
@@ -124,8 +131,7 @@ TOPOLOGY_BY_INDEX: List[Topology] = sorted(TOPOLOGIES.values(), key=lambda t: t.
 
 def topology_probability(t: Topology, p: float) -> float:
     """Probability p^k (1-p)^(4-k) of drawing t, k its number of on links."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_unit(p, "p")
     return _topology_law(t.n_on, float(p))
 
 
@@ -144,10 +150,15 @@ def _check_count(n: int, what: str, low: int = 0) -> int:
     return int(n)
 
 
-def _check_window(p: float, n: int) -> None:
-    _check_count(n, "n")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+def _check_shape(m: int, n: int) -> None:
+    _check_count(m, "m", low=1)
+    _check_count(n, "n", low=1)
+
+
+def _check_unit(value: float, what: str) -> None:
+    """The one test of an input in [0, 1]; a NaN fails it."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1]")
 
 
 def sample_topology_indices(p: float, n: int, seed: int) -> np.ndarray:
@@ -156,7 +167,8 @@ def sample_topology_indices(p: float, n: int, seed: int) -> np.ndarray:
     Uses the counter-based Philox generator, so a (p, n, seed) triple always
     produces the same sequence regardless of platform or call history.
     """
-    _check_window(p, n)
+    _check_count(n, "n")
+    _check_unit(p, "p")
     rng = np.random.Generator(np.random.Philox(seed))
     out = np.empty(int(n), dtype=np.uint8)
     # Chunked draws consume the stream in the same order as one
@@ -180,7 +192,8 @@ def sample_topology_counts(
     with one Philox multinomial call whatever n is. Every topology is a
     key, in TOPOLOGY_BY_INDEX order.
     """
-    _check_window(p, n)
+    _check_count(n, "n")
+    _check_unit(p, "p")
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, [_topology_law(t.n_on, float(p)) for t in TOPOLOGY_BY_INDEX])
     return {t: int(c) for t, c in zip(TOPOLOGY_BY_INDEX, counts)}
@@ -195,10 +208,11 @@ class ChannelSet:
     Attributes h11, h12, h21, h22 are N x M arrays (receiver index first),
     the four read-only views of one copy of the caller's matrices. ``h(k)``
     exposes the 1..4 alias ordering h11, h12, h21, h22 used by the
-    coding-scheme builders. ``bases`` memoizes the read-only bases that
-    carriers slice (I_M and the pseudo-inverse, null and paired bases,
-    filled by schemes.fill_bases, one stacked SVD per basis kind); the
-    matrices are read-only, so an entry can never go stale.
+    coding-scheme builders, and ``link_matrix(rx, tx)`` the 1-based link,
+    each from a table built once per set. ``bases`` memoizes the read-only
+    bases that carriers slice (I_M and the pseudo-inverse, null and paired
+    bases, filled by schemes.fill_bases, one stacked SVD per basis kind);
+    the matrices are read-only, so an entry can never go stale.
     """
 
     def __init__(
@@ -229,18 +243,25 @@ class ChannelSet:
     def _adopt(self, dims: Dimensions, stack: np.ndarray) -> None:
         stack.setflags(write=False)
         self.dims = dims
-        self.h11, self.h12, self.h21, self.h22 = stack
+        views = tuple(stack)
+        self.h11, self.h12, self.h21, self.h22 = views
+        self._by_alias = dict(enumerate(views, 1))
+        self._by_link = dict(zip(_LINK_POSITION, views))
         self.bases: Dict[tuple, np.ndarray] = {}
 
     def h(self, k: int) -> np.ndarray:
         """Channel matrix by alias index: 1 -> h11, 2 -> h12, 3 -> h21, 4 -> h22."""
         try:
-            return (self.h11, self.h12, self.h21, self.h22)[k - 1]
-        except IndexError:
+            return self._by_alias[k]
+        except KeyError:
             raise ValueError("channel alias index must be 1..4") from None
 
     def link_matrix(self, rx: int, tx: int) -> np.ndarray:
-        return self.h(2 * (rx - 1) + tx)
+        """Channel matrix of the link from transmitter tx to receiver rx (1-based)."""
+        try:
+            return self._by_link[rx, tx]
+        except KeyError:
+            raise ValueError("rx and tx must be 1 or 2") from None
 
 
 def _full_rank(mats: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .builders import CODES
-from .channel import Dimensions, TOPOLOGIES, sample_channels
+from .channel import Dimensions, TOPOLOGIES, _check_unit, sample_channels
 from .decode import verify_decodability
 from .formulas import _baseline, _dof, _lb, _ua, _ub, dof_profile
 from .sim import run_simulation
@@ -128,8 +128,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     if args.sweep == "r":
         xs = [round(k * step, 12) for k in range(1, count + 1)]
         fixed_p = args.fixed
-        if not 0 <= fixed_p <= 1:
-            raise SystemExit("fixed p must lie in [0, 1]")
+        _check_unit(fixed_p, "fixed p")
         points = [(x, x, fixed_p) for x in xs if x <= 1.0]
     else:
         xs = [round(k * step, 12) for k in range(0, count + 1)]
@@ -227,8 +226,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.slots <= 0:
         raise SystemExit("--slots must be positive")
-    if not 0 <= args.p <= 1:
-        raise SystemExit("--p must lie in [0, 1]")
     if max(args.m, args.n) > _MAX_ANTENNAS:
         raise SystemExit(f"--m and --n must be at most {_MAX_ANTENNAS}")
     dims = Dimensions(args.m, args.n)

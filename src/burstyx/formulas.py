@@ -3,8 +3,9 @@
 Everything here is per slot. Normalized quantities divide the sum DoF by
 the larger antenna count and depend only on the antenna ratio
 r = min(m, n) / max(m, n) and the link-on probability p. Shape-aware
-quantities (composite_achievable, the rate bounds, the per-topology
-baseline) take integer antenna counts and return absolute symbol rates.
+quantities (composite_achievable, the per-topology baseline, and the
+rate bounds that dof_profile reports as pair_bound and triple_bound) take
+integer antenna counts and return absolute symbol rates.
 
 The normalized sum DoF is known exactly except when r > 2/3 and p > 1/2;
 in that open region the package exposes an upper-bound pair and an
@@ -19,7 +20,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .channel import TOPOLOGIES, _check_count, _topology_law
+from .channel import TOPOLOGIES, _check_shape, _check_unit, _topology_law
 
 __all__ = [
     "normalized_dof",
@@ -27,8 +28,6 @@ __all__ = [
     "upper_bound_b",
     "lower_bound",
     "composite_achievable",
-    "rate_pair_bound",
-    "three_rate_bound",
     "per_topology_baseline",
     "baseline_normalized",
     "single_slot_symbols",
@@ -39,15 +38,10 @@ __all__ = [
 ]
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability p must lie in [0, 1]")
-
-
 def _check_rp(r: float, p: float) -> None:
     if not 0.0 < r <= 1.0:
         raise ValueError("antenna ratio r must lie in (0, 1]")
-    _check_p(p)
+    _check_unit(p, "p")
 
 
 # Unchecked expressions, one per normalized series. Each public function is
@@ -152,7 +146,7 @@ def composite_achievable(m: int, n: int, p: float) -> float:
     Outside that open regime it is twice the per-receiver rate pair bound.
     """
     _check_shape(m, n)
-    _check_p(p)
+    _check_unit(p, "p")
     return _composite(m, n, p)
 
 
@@ -168,34 +162,14 @@ def _composite(m, n, p):
     )
 
 
-def _check_shape(m: int, n: int) -> None:
-    _check_count(m, "m", low=1)
-    _check_count(n, "n", low=1)
-
-
-def rate_pair_bound(m: int, n: int, p: float) -> float:
-    """Converse on one receiver's rate pair; doubling and normalizing by
-    max(m, n) recovers the exact normalized DoF where it is characterized,
-    and upper_bound_a at r >= 1/2."""
-    _check_shape(m, n)
-    _check_p(p)
-    return _rate_pair(m, n, p)
-
-
 def _rate_pair(m, n, p):
+    """DofProfile.pair_bound, unchecked."""
     mn, mx = min(m, n), max(m, n)
     return _pair_low(mn, p) if 2 * mn <= mx else _pair_high(mn, mx, p)
 
 
-def three_rate_bound(m: int, n: int, p: float) -> float:
-    """Converse on a weighted rate triple; scaling by 4/(3 max(m, n))
-    recovers upper_bound_b."""
-    _check_shape(m, n)
-    _check_p(p)
-    return _three_rate(m, n, p)
-
-
 def _three_rate(m, n, p):
+    """DofProfile.triple_bound, unchecked."""
     mn, mx = min(m, n), max(m, n)
     q = 1.0 - p
     return p * p * mx + 3.0 * p * q * mn
@@ -244,7 +218,7 @@ _ON_LINKS = tuple((name, topo.n_on) for name, topo in TOPOLOGIES.items())
 def per_topology_baseline(m: int, n: int, p: float) -> float:
     """Expected per-slot sum DoF when every slot is coded in isolation."""
     _check_shape(m, n)
-    _check_p(p)
+    _check_unit(p, "p")
     return _topology_sum(m, n, p)
 
 
@@ -317,7 +291,10 @@ class DofProfile:
 
     dof is None in the open regime where the exact value is unknown.
     Normalized entries divide by max(m, n); composite and the two rate
-    bounds are absolute per-slot values.
+    bounds are absolute per-slot values: pair_bound, the converse on one
+    receiver's rate pair (twice it over max(m, n) is the exact DoF where it
+    is characterized, and ub1 at r >= 1/2), and triple_bound, the converse
+    on a weighted rate triple (4/3 of it over max(m, n) is ub2).
     """
 
     m: int
@@ -343,10 +320,11 @@ def dof_profile(m: int, n: int, p: float) -> DofProfile:
     """Evaluate every closed form at one shape and probability.
 
     Checks the shape and p once, then evaluates each form's unchecked
-    expression, the body its public function runs after the same checks.
+    expression, the body its public function (if any) runs after the same
+    checks.
     """
     _check_shape(m, n)
-    _check_p(p)
+    _check_unit(p, "p")
     mn, mx = min(m, n), max(m, n)
     r = mn / mx
     if 2 * mn <= mx:

@@ -45,6 +45,7 @@ from .channel import (
     TOPOLOGIES,
     Topology,
     _check_count,
+    _check_unit,
     sample_channels,
     sample_topology_counts,
     sample_topology_indices,
@@ -193,14 +194,15 @@ def run_simulation(
     messages of a kind are one (total_symbols, n_dec) batch decoded by one
     sic_decode call; every variable of every message is still held to the
     1e-6 reconstruction gate (linalg.RECON_TOL) on its own by
-    reconstruction_error, and a failed (or non-finite) decode raises.
-    Raises ValueError unless n is an integer in [1, 2**63).
+    reconstruction_error. Raises ValueError only for a bad argument (n not
+    an integer in [1, 2**63), p or decode_fraction outside [0, 1]), and
+    RuntimeError for the first kind in catalogue order that fails on the
+    draw: a DecodeError, or one naming the scheme with the message of its
+    carrier, its inconsistent solve or its spot check.
     """
     _check_count(n, "n", low=1)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability p must lie in [0, 1]")
-    if not 0.0 <= decode_fraction <= 1.0:
-        raise ValueError("decode_fraction must lie in [0, 1]")
+    _check_unit(p, "p")
+    _check_unit(decode_fraction, "decode_fraction")
 
     channels = sample_channels(dims, seed)
     topo_seq, msg_seq = np.random.SeedSequence(seed).spawn(2)
@@ -230,12 +232,16 @@ def run_simulation(
         # Column i is message i: the draws a message-by-message loop would
         # make, in order.
         x = rng.standard_normal((n_dec, scheme.total_symbols)).T
-        _worst, failure = reconstruction_error(scheme, sic_decode(eff, x), x)
+        try:
+            x_hat = sic_decode(eff, x)
+        except ValueError as exc:  # an inconsistent projected system
+            raise RuntimeError(f"scheme {scheme.name}: {exc}") from exc
+        _worst, failure = reconstruction_error(scheme, x_hat, x)
         if failure:
             raise RuntimeError(f"scheme {scheme.name} failed decode spot check: {failure}")
         decodes_run += n_dec
-    if failed is not None:
-        raise failed
+    if failed is not None:  # the kind after the last one with a channel
+        raise RuntimeError(f"scheme {kinds[len(effs)][0].name}: {failed}") from failed
 
     return SimResult(
         m=dims.m,

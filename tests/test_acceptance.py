@@ -94,17 +94,17 @@ def test_closed_form_identities_to_1e12():
     for p in P_GRID:
         for m, n in [(4, 2), (6, 3)]:
             r = min(m, n) / max(m, n)
-            lhs = 2 * bx.rate_pair_bound(m, n, p) / max(m, n)
+            lhs = 2 * bx.dof_profile(m, n, p).pair_bound / max(m, n)
             assert abs(lhs - bx.normalized_dof(r, p)) < 1e-12
         for m, n in [(4, 3), (3, 2)]:
             r = min(m, n) / max(m, n)
-            lhs = 2 * bx.rate_pair_bound(m, n, p) / max(m, n)
+            lhs = 2 * bx.dof_profile(m, n, p).pair_bound / max(m, n)
             assert abs(lhs - bx.upper_bound_a(r, p)) < 1e-12
     # (d) four thirds of the three-message bound reproduces the second bound
     for p in P_GRID:
         for m, n in [(4, 3), (3, 3), (4, 2)]:
             r = min(m, n) / max(m, n)
-            lhs = (4 / 3) * bx.three_rate_bound(m, n, p) / max(m, n)
+            lhs = (4 / 3) * bx.dof_profile(m, n, p).triple_bound / max(m, n)
             assert abs(lhs - bx.upper_bound_b(r, p)) < 1e-12
     # (e) the composite rate normalizes to the lower bound past p = 1/2
     for p in P_GRID[P_GRID > 0.5]:

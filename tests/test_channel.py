@@ -230,8 +230,22 @@ def test_channel_alias_and_orientation():
     assert ch.h(2) is ch.link_matrix(1, 2)
     assert ch.h(3) is ch.link_matrix(2, 1)
     assert ch.h(4) is ch.link_matrix(2, 2)
-    with pytest.raises(ValueError):
-        ch.h(5)
+
+
+@pytest.mark.parametrize("k", [0, -1, 5])
+def test_channel_alias_outside_one_to_four_is_refused(k):
+    """An index below 1 does not wrap around to h22 or h21."""
+    with pytest.raises(ValueError, match=r"channel alias index must be 1\.\.4"):
+        bx.sample_channels(bx.Dimensions(4, 3), 0).h(k)
+
+
+@pytest.mark.parametrize("rx, tx", [(0, 1), (1, 3), (1, 0), (3, 1), (-1, 2)])
+def test_link_outside_one_or_two_is_refused(rx, tx):
+    """Neither a channel set nor a topology maps an out-of-range link onto another."""
+    with pytest.raises(ValueError, match="rx and tx must be 1 or 2"):
+        bx.sample_channels(bx.Dimensions(4, 3), 0).link_matrix(rx, tx)
+    with pytest.raises(ValueError, match="rx and tx must be 1 or 2"):
+        bx.TOPOLOGIES["f"].link(rx, tx)
 
 
 def test_channels_deterministic_and_readonly():

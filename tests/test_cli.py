@@ -220,6 +220,12 @@ def test_curves_rejects_bad_step(capsys):
         assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixed", ["1.5", "-0.1", "nan"])
+def test_curves_rejects_a_fixed_p_outside_the_unit_interval(capsys, fixed):
+    assert main(["curves", "--sweep", "r", "--fixed", fixed]) == 2
+    assert capsys.readouterr().err == "error: fixed p must lie in [0, 1]\n"
+
+
 def test_verify_runs_and_reports(capsys):
     rc = main(["verify", "--shapes", "4x3", "--constructions", "z12,zf",
                "--seeds", "1", "--trials", "1"])
@@ -527,6 +533,28 @@ def test_simulate_usage_errors(capsys):
                  "--slots", "0", "--seed", "1"]) == 2
     assert main(["simulate", "--m", "3", "--n", "2", "--p", "0.5",
                  "--slots", str(2**63), "--seed", "1"]) == 2
+
+
+def test_simulate_exits_one_when_a_scheme_fails_on_the_draw(capsys, monkeypatch):
+    """A construction that fails on the draw is a failed check, not a usage error."""
+    from dataclasses import replace
+
+    from burstyx.schemes import Carrier
+
+    z12 = bx.build_z_pair_code(bx.Dimensions(4, 3), "z12")
+    v = z12.variables[0]
+    wide = replace(v, carrier=Carrier("pinv", 4, ch=1))  # wider than the pseudo-inverse
+    broken = replace(z12, name="z12_wide", variables=(wide,) + z12.variables[1:])
+    entry = burstyx.builders.CODES["z12"]._replace(build=lambda dims: broken)
+    monkeypatch.setitem(burstyx.builders.CODES, "z12", entry)
+    base = ["simulate", "--m", "4", "--n", "3", "--slots", "5000", "--seed", "6"]
+    assert main(base + ["--p", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failed: ") and "pinv slice exceeds available columns" in err
+    assert main(base + ["--p", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: p must lie in [0, 1]\n"
+    assert main(base + ["--p", "0.5", "--decode-fraction", "2"]) == 2
+    assert capsys.readouterr().err == "error: decode_fraction must lie in [0, 1]\n"
 
 
 def test_missing_required_argument_exits_two():

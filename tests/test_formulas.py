@@ -57,9 +57,9 @@ def test_composite_point_values():
 
 
 def test_rate_bound_point_values():
-    assert bx.rate_pair_bound(4, 2, 1.0) == pytest.approx(2.0, abs=1e-12)
-    assert bx.three_rate_bound(3, 3, 1.0) == pytest.approx(3.0, abs=1e-12)
-    assert bx.three_rate_bound(4, 3, 0.5) == pytest.approx(0.25 * 4 + 1.5 * 0.5 * 3)
+    assert bx.dof_profile(4, 2, 1.0).pair_bound == pytest.approx(2.0, abs=1e-12)
+    assert bx.dof_profile(3, 3, 1.0).triple_bound == pytest.approx(3.0, abs=1e-12)
+    assert bx.dof_profile(4, 3, 0.5).triple_bound == pytest.approx(0.25 * 4 + 1.5 * 0.5 * 3)
 
 
 def test_baseline_point_values():
@@ -94,12 +94,12 @@ def test_pair_bound_doubles_to_dof_or_upper():
     for m, n in [(4, 2), (5, 2), (2, 1), (6, 3)]:
         # wide shapes: matches the achievable dof everywhere
         for p in P_GRID:
-            lhs = 2 * bx.rate_pair_bound(m, n, p) / max(m, n)
+            lhs = 2 * bx.dof_profile(m, n, p).pair_bound / max(m, n)
             assert abs(lhs - bx.normalized_dof(min(m, n) / max(m, n), p)) < 1e-12
     for m, n in [(4, 3), (3, 2), (5, 4), (3, 3)]:
         # balanced shapes: matches the first upper bound instead
         for p in P_GRID:
-            lhs = 2 * bx.rate_pair_bound(m, n, p) / max(m, n)
+            lhs = 2 * bx.dof_profile(m, n, p).pair_bound / max(m, n)
             assert abs(lhs - bx.upper_bound_a(min(m, n) / max(m, n), p)) < 1e-12
 
 
@@ -107,7 +107,7 @@ def test_triple_bound_scales_to_second_upper():
     for m, n in [(4, 3), (3, 2), (4, 2), (3, 3), (5, 4)]:
         r = min(m, n) / max(m, n)
         for p in P_GRID:
-            lhs = (4 / 3) * bx.three_rate_bound(m, n, p) / max(m, n)
+            lhs = (4 / 3) * bx.dof_profile(m, n, p).triple_bound / max(m, n)
             assert abs(lhs - bx.upper_bound_b(r, p)) < 1e-12
 
 
@@ -192,8 +192,6 @@ def test_closed_forms_refuse_antenna_counts_that_are_not_positive_integers(count
     """Shapes are held as Dimensions holds them: a float or a bool is refused, not truncated."""
     shaped = (
         bx.composite_achievable,
-        bx.rate_pair_bound,
-        bx.three_rate_bound,
         bx.per_topology_baseline,
         bx.dof_profile,
         lambda m, n, _p: bx.single_slot_symbols("f", m, n),
@@ -222,10 +220,95 @@ def test_input_validation():
         bx.composite_achievable(0, 3, 0.5)
     with pytest.raises(ValueError):
         bx.single_slot_symbols("f", -1, 3)
-    with pytest.raises(ValueError):
-        bx.rate_pair_bound(4, 3, 1.5)
-    with pytest.raises(ValueError):
-        bx.three_rate_bound(4, 3, -1)
+
+
+_P_ENTRY_POINTS = {
+    "topology_probability": lambda p: bx.topology_probability(bx.TOPOLOGIES["f"], p),
+    "sample_topology_indices": lambda p: bx.sample_topology_indices(p, 10, 0),
+    "sample_topology_counts": lambda p: bx.sample_topology_counts(p, 10, 0),
+    "normalized_dof": lambda p: bx.normalized_dof(0.5, p),
+    "upper_bound_a": lambda p: bx.upper_bound_a(0.5, p),
+    "upper_bound_b": lambda p: bx.upper_bound_b(0.5, p),
+    "lower_bound": lambda p: bx.lower_bound(0.5, p),
+    "baseline_normalized": lambda p: bx.baseline_normalized(0.5, p),
+    "composite_achievable": lambda p: bx.composite_achievable(4, 3, p),
+    "per_topology_baseline": lambda p: bx.per_topology_baseline(4, 3, p),
+    "dof_profile": lambda p: bx.dof_profile(4, 3, p),
+    "run_simulation": lambda p: bx.run_simulation(bx.Dimensions(3, 2), p, 10, 0),
+}
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("entry", sorted(_P_ENTRY_POINTS))
+def test_every_entry_point_refuses_p_with_one_message(entry, p):
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+        _P_ENTRY_POINTS[entry](p)
+
+
+def test_inline_regime_tests_agree_on_every_cli_shape(monkeypatch):
+    """The regime tests written out in each closed form and builder agree with
+    the integer ones, 2 min <= max, 3 min <= 2 max and p > 1/2, at every shape
+    the CLI accepts: the regime, _dof's None and branch, the branches of
+    _rate_pair and _composite, the all-links symbols and baseline term, and
+    which of z12, zf and the standalone all-links code build."""
+    formulas = burstyx.formulas
+    taken = []
+
+    def spy(name):
+        real = getattr(formulas, name)
+
+        def call(*args):
+            taken.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("_pair_low", "_pair_high", "_rate_pair"):
+        monkeypatch.setattr(formulas, name, spy(name))
+
+    def builds(build):
+        try:
+            build()
+        except ValueError:
+            return False
+        return True
+
+    disagreements = []
+    for m in range(1, 65):
+        for n in range(1, 65):
+            mn, mx = min(m, n), max(m, n)
+            r = mn / mx
+            low, wide = 2 * mn <= mx, 3 * mn <= 2 * mx
+            dims = bx.Dimensions(m, n)
+            built = (
+                builds(lambda: bx.build_z_pair_code(dims, "z12")),
+                builds(lambda: bx.build_zf_code(dims)),
+                builds(lambda: bx.build_single_topology_code("f", dims)),
+            )
+            if built != (not low, not wide, wide or (m == n and m % 3 == 0)):
+                disagreements.append((m, n, "builders", built))
+            if (bx.single_slot_symbols("f", m, n) == 2 * mn) != wide:
+                disagreements.append((m, n, "single_slot_symbols"))
+            if bx.baseline_normalized(r, 1.0) != (2 * r if wide else 1.0):
+                disagreements.append((m, n, "baseline_normalized"))
+            for p in (0.3, 0.5, 0.7):
+                is_open = not wide and p > 0.5
+                regime = "low" if low else "open" if is_open else "mid"
+                if bx.dof_profile(m, n, p).regime != regime:
+                    disagreements.append((m, n, p, "dof_profile"))
+                branch = "_pair_low" if low else "_pair_high"
+                taken.clear()
+                if (formulas._dof(r, p) is None) != is_open or taken != ([] if is_open else [branch]):
+                    disagreements.append((m, n, p, "_dof", taken[:]))
+                taken.clear()
+                formulas._rate_pair(m, n, p)
+                if taken != ["_rate_pair", branch]:
+                    disagreements.append((m, n, p, "_rate_pair", taken[:]))
+                taken.clear()
+                formulas._composite(m, n, p)
+                if ("_rate_pair" in taken) == is_open:
+                    disagreements.append((m, n, p, "_composite", taken[:]))
+    assert disagreements == []
 
 
 # -- profiles and the gap search --------------------------------------------

@@ -421,10 +421,10 @@ def test_simulation_raises_the_first_failure_in_catalogue_order(monkeypatch, fau
         copy = replace(v, name=v.name + "_copy")
         broken = replace(z12, name="z12_doubled", variables=z12.variables + (copy,))
         error, message = bx.DecodeError, f"rx{v.rx} cannot separate"
-    else:  # a pinv slice wider than the pseudo-inverse: effective_channel raises
+    else:  # a pinv slice wider than the pseudo-inverse: effective_channel's error, as a failed run
         wide = replace(v, carrier=Carrier("pinv", 4, ch=1))
         broken = replace(z12, name="z12_wide", variables=(wide,) + z12.variables[1:])
-        error, message = ValueError, "pinv slice exceeds"
+        error, message = RuntimeError, "pinv slice exceeds"
     entry = burstyx.builders.CODES["z12"]._replace(build=lambda dims: broken)
     monkeypatch.setitem(burstyx.builders.CODES, "z12", entry)
     with pytest.raises(error, match=message):
